@@ -14,11 +14,9 @@ from .chart import (
     make_standard_chart,
     make_twisted_chart,
     nijenhuis_tensor,
-    projectors,
     torsion_form,
 )
 from .forms import (
-    Bidegree,
     BundleForm,
     ScalarForm,
     VectorForm,
@@ -60,10 +58,8 @@ __all__ = [
     "make_standard_chart",
     "make_twisted_chart",
     "builtin_twisted_chart",
-    "projectors",
     "torsion_form",
     "nijenhuis_tensor",
-    "Bidegree",
     "ScalarForm",
     "VectorForm",
     "BundleForm",

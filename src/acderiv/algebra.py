@@ -156,7 +156,6 @@ class GaussRational:
 
 GR_ZERO = GaussRational(0)
 GR_ONE = GaussRational(1)
-GR_I = GaussRational(0, 1)
 GR_HALF = GaussRational(Fraction(1, 2))
 
 ScalarLike = Union[GaussRational, int, Fraction]

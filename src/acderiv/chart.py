@@ -57,10 +57,6 @@ def mat_scale(a: PolyMatrix, c) -> PolyMatrix:
     return [[entry.scale(c) for entry in row] for row in a]
 
 
-def mat_conjugate(a: PolyMatrix) -> PolyMatrix:
-    return [[entry.conjugate() for entry in row] for row in a]
-
-
 def mat_eq(a: PolyMatrix, b: PolyMatrix) -> bool:
     return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
@@ -182,11 +178,6 @@ def builtin_twisted_chart(n: int) -> Chart:
     N = mat_zero(dim, dim)
     N[0][2] = PolyScalar.variable(0, dim)
     return make_twisted_chart(n, N, name=f"twisted:{n}")
-
-
-def projectors(chart: Chart) -> Projectors:
-    """P10 = (I - iJ)/2 and its conjugate P01; cached on the chart."""
-    return chart.projectors()
 
 
 def _lie_bracket_fields(chart: Chart, v: Sequence[PolyScalar], w: Sequence[PolyScalar]):

@@ -12,7 +12,13 @@ import sys
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
-from .verifier import REGISTRY_IDS, IdentityReport, registry_descriptions, run_suite
+from .verifier import (
+    REGISTRY_IDS,
+    IdentityReport,
+    parse_chart_name,
+    registry_descriptions,
+    run_suite,
+)
 
 USAGE_ERROR = 2
 
@@ -117,19 +123,15 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         config.out = str(values["out"])
     if "parallel" in values:
         config.parallel = bool(values["parallel"])
+    try:
+        parse_chart_name(config.chart)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     _validate(config)
     return config
 
 
 def _validate(config: RunConfig):
-    kind, _, dim = config.chart.partition(":")
-    if kind not in ("standard", "twisted") or not dim.lstrip("-").isdigit():
-        raise ConfigError(f'chart must be "standard:n" or "twisted:n", got {config.chart!r}')
-    n = int(dim)
-    if n < 1:
-        raise ConfigError(f"chart dimension must be >= 1, got {n}")
-    if kind == "twisted" and n < 2:
-        raise ConfigError("the twisted chart needs n >= 2 (R^2 admits no non-integrable J)")
     if config.rank < 1:
         raise ConfigError(f"rank must be >= 1, got {config.rank}")
     if config.degree < 0:

@@ -11,17 +11,12 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
-from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .algebra import GaussRational, PolyScalar
 
 if TYPE_CHECKING:
     from .chart import Chart
-
-
-class Bidegree(NamedTuple):
-    p: int
-    q: int
 
 
 def _merge_sign(left: tuple, right: tuple):

@@ -1,8 +1,8 @@
 """Graded operators on bundle-valued forms, plus an exact matrix algebra.
 
-A DerivationOp carries an action and degree bookkeeping, not a symbolic normal
-form: operator identities are decided extensionally, by applying both sides to
-the generator family of the trivial bundle (coordinate functions, coordinate
+A DerivationOp is a degree, an action and a tag, not a symbolic normal form:
+operator identities are decided extensionally, by applying both sides to the
+generator family of the trivial bundle (coordinate functions, coordinate
 differentials, frame sections, and their products) together with random
 whole-form probes.
 
@@ -91,12 +91,11 @@ def random_connection(chart: Chart, rank: int, max_degree: int, seed) -> Connect
 
 @dataclass(frozen=True)
 class DerivationOp:
-    """A graded operator on bundle-valued forms with degree bookkeeping."""
+    """A graded operator on bundle-valued forms: degree, action and display tag."""
 
     degree: int
     action: Callable[[BundleForm], BundleForm]
     tag: str
-    bidegree: Tuple[int, int] | None = None
 
     def __call__(self, u: BundleForm) -> BundleForm:
         return self.action(u)
@@ -104,18 +103,14 @@ class DerivationOp:
     def __add__(self, other: "DerivationOp") -> "DerivationOp":
         if self.degree != other.degree:
             raise ValueError("cannot add operators of different degrees")
-        bi = self.bidegree if self.bidegree == other.bidegree else None
         return DerivationOp(
             self.degree,
             lambda u, a=self.action, b=other.action: a(u) + b(u),
             f"({self.tag} + {other.tag})",
-            bi,
         )
 
     def __neg__(self) -> "DerivationOp":
-        return DerivationOp(
-            self.degree, lambda u, a=self.action: -a(u), f"(-{self.tag})", self.bidegree
-        )
+        return DerivationOp(self.degree, lambda u, a=self.action: -a(u), f"(-{self.tag})")
 
     def __sub__(self, other: "DerivationOp") -> "DerivationOp":
         return self + (-other)
@@ -125,36 +120,23 @@ class DerivationOp:
             self.degree,
             lambda u, a=self.action, c=value: a(u).scale(c),
             f"({value})*{self.tag}",
-            self.bidegree,
         )
 
     def compose(self, other: "DerivationOp") -> "DerivationOp":
         """self after other."""
-        bi = None
-        if self.bidegree and other.bidegree:
-            bi = (self.bidegree[0] + other.bidegree[0], self.bidegree[1] + other.bidegree[1])
         return DerivationOp(
             self.degree + other.degree,
             lambda u, a=self.action, b=other.action: a(b(u)),
             f"{self.tag}∘{other.tag}",
-            bi,
         )
 
 
 def identity_op() -> DerivationOp:
-    return DerivationOp(0, lambda u: u, "id", (0, 0))
+    return DerivationOp(0, lambda u: u, "id")
 
 
-def zero_op(degree: int = 0) -> DerivationOp:
-    return DerivationOp(
-        degree, lambda u: BundleForm.zero(u.chart, u.rank), "0", None
-    )
-
-
-def interior_op(K: VectorForm, bidegree: Tuple[int, int] | None = None) -> DerivationOp:
-    return DerivationOp(
-        K.degree - 1, lambda u, k=K: interior(k, u), f"i_[{K.degree}-form]", bidegree
-    )
+def interior_op(K: VectorForm) -> DerivationOp:
+    return DerivationOp(K.degree - 1, lambda u, k=K: interior(k, u), f"i_[{K.degree}-form]")
 
 
 def nabla(conn: Connection) -> DerivationOp:
@@ -164,16 +146,13 @@ def nabla(conn: Connection) -> DerivationOp:
 def graded_commutator(d1: DerivationOp, d2: DerivationOp) -> DerivationOp:
     """[D1, D2] = D1 D2 - (-1)^{k1 k2} D2 D1."""
     sign = 1 if (d1.degree * d2.degree) % 2 == 0 else -1
-    bi = None
-    if d1.bidegree and d2.bidegree:
-        bi = (d1.bidegree[0] + d2.bidegree[0], d1.bidegree[1] + d2.bidegree[1])
 
     def act(u: BundleForm) -> BundleForm:
         first = d1.action(d2.action(u))
         second = d2.action(d1.action(u))
         return first - second if sign > 0 else first + second
 
-    return DerivationOp(d1.degree + d2.degree, act, f"[{d1.tag},{d2.tag}]", bi)
+    return DerivationOp(d1.degree + d2.degree, act, f"[{d1.tag},{d2.tag}]")
 
 
 def _bundle_bidegree_parts(u: BundleForm):
@@ -202,31 +181,26 @@ def connection_split(conn: Connection):
         return conn._split
     chart = conn.chart
 
-    def act10(u: BundleForm) -> BundleForm:
-        out = BundleForm.zero(u.chart, u.rank)
-        for p, q, piece in _bundle_bidegree_parts(u):
-            image = conn.apply(piece)
-            out = out + BundleForm(
-                u.chart, [bidegree_split_scalar(c, p + 1, q) for c in image.comps]
-            )
-        return out
+    def shifted(dp: int, dq: int) -> Callable[[BundleForm], BundleForm]:
+        """u -> sum over (p, q) pieces of Pi^{p+dp,q+dq} nabla Pi^{p,q} u."""
 
-    def act01(u: BundleForm) -> BundleForm:
-        out = BundleForm.zero(u.chart, u.rank)
-        for p, q, piece in _bundle_bidegree_parts(u):
-            image = conn.apply(piece)
-            out = out + BundleForm(
-                u.chart, [bidegree_split_scalar(c, p, q + 1) for c in image.comps]
-            )
-        return out
+        def act(u: BundleForm) -> BundleForm:
+            out = BundleForm.zero(u.chart, u.rank)
+            for p, q, piece in _bundle_bidegree_parts(u):
+                image = conn.apply(piece)
+                out = out + BundleForm(
+                    u.chart, [bidegree_split_scalar(c, p + dp, q + dq) for c in image.comps]
+                )
+            return out
+
+        return act
 
     theta = chart.torsion()
-    theta_bar = theta.conjugate()
     split = (
-        DerivationOp(1, act10, "∇¹⁰", (1, 0)),
-        DerivationOp(1, act01, "∇⁰¹", (0, 1)),
-        interior_op(theta, (2, -1)),
-        interior_op(theta_bar, (-1, 2)),
+        DerivationOp(1, shifted(1, 0), "∇¹⁰"),
+        DerivationOp(1, shifted(0, 1), "∇⁰¹"),
+        interior_op(theta),
+        interior_op(theta.conjugate()),
     )
     conn._split = split
     return split
@@ -237,16 +211,16 @@ def lie_derivative(K: VectorForm, conn: Connection, flavor: str = "full") -> Der
     if flavor == "full":
         base = nabla(conn)
         tag = "𝓛"
-    elif flavor in ("1,0", "10"):
+    elif flavor == "1,0":
         base = connection_split(conn)[0]
         tag = "𝓛¹⁰"
-    elif flavor in ("0,1", "01"):
+    elif flavor == "0,1":
         base = connection_split(conn)[1]
         tag = "𝓛⁰¹"
     else:
         raise ValueError(f"unknown Lie derivative flavor {flavor!r}")
     out = graded_commutator(interior_op(K), base)
-    return DerivationOp(out.degree, out.action, f"{tag}_[{K.degree}-form]", None)
+    return DerivationOp(out.degree, out.action, f"{tag}_[{K.degree}-form]")
 
 
 def exp_interior(phi: VectorForm) -> Tuple[DerivationOp, DerivationOp]:
@@ -288,7 +262,7 @@ def conjugate_operator(op: DerivationOp, phi: VectorForm) -> DerivationOp:
     """
     exp_plus, exp_minus = exp_interior(phi)
     out = exp_minus.compose(op).compose(exp_plus)
-    return DerivationOp(op.degree, out.action, f"e⁻∘{op.tag}∘e⁺", op.bidegree)
+    return DerivationOp(op.degree, out.action, f"e⁻∘{op.tag}∘e⁺")
 
 
 # -- generator family and extensional residuals ---------------------------------
@@ -384,6 +358,14 @@ def _extract_vector_from_covector_action(
         ) from exc
 
 
+def _require_reassembly(op: DerivationOp, rebuilt: DerivationOp, conn: Connection, what: str):
+    """Raise DecompositionError naming op and the first generator where rebuilt misses it."""
+    bad = operator_residuals(op, rebuilt, generator_family(conn.chart, conn.rank))
+    if bad:
+        label, res = bad[0]
+        raise DecompositionError(f"{what} misses {op.tag} on {label}: {res}")
+
+
 def decompose_derivation(
     op: DerivationOp, conn: Connection
 ) -> Tuple[VectorForm, VectorForm]:
@@ -399,13 +381,7 @@ def decompose_derivation(
     lie_k = lie_derivative(K, conn, "full")
     remainder = op - lie_k
     L = _extract_vector_from_covector_action(remainder, conn, k + 1)
-    rebuilt = lie_k + interior_op(L)
-    bad = operator_residuals(op, rebuilt, generator_family(conn.chart, conn.rank))
-    if bad:
-        label, res = bad[0]
-        raise DecompositionError(
-            f"reassembly L_K + i_L misses {op.tag} on {label}: {res}"
-        )
+    _require_reassembly(op, lie_k + interior_op(L), conn, "reassembly L_K + i_L")
     return K, L
 
 
@@ -419,7 +395,6 @@ def refined_decompose(
     algebraic remainder whose vector form is split the same way.  The output
     is verified by reassembly and is not claimed unique.
     """
-    chart = conn.chart
     k = op.degree
     K = _extract_vector_from_function_action(op, conn, k)
     K10 = K.value_projected("1,0")
@@ -431,12 +406,7 @@ def refined_decompose(
     L10 = L_total.value_projected("1,0")
     L01 = L_total.value_projected("0,1")
     rebuilt = lie10 + lie01 + interior_op(L10) + interior_op(L01)
-    bad = operator_residuals(op, rebuilt, generator_family(chart, conn.rank))
-    if bad:
-        label, res = bad[0]
-        raise DecompositionError(
-            f"refined reassembly misses {op.tag} on {label}: {res}"
-        )
+    _require_reassembly(op, rebuilt, conn, "refined reassembly")
     return K10, K01, L10, L01
 
 

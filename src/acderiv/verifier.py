@@ -30,7 +30,6 @@ from .forms import (
     contract,
     fn_bracket,
     interior,
-    iterated_nr_bracket,
     nr_bracket,
     random_bundle_form,
     random_form,
@@ -49,6 +48,7 @@ from .operators import (
     exp_interior,
     generator_family,
     graded_commutator,
+    identity_op,
     interior_op,
     lie_derivative,
     matrix_exp_nilpotent,
@@ -156,11 +156,43 @@ def _worst(bad: Sequence[Tuple[str, BundleForm]]) -> Tuple[str, str]:
 
 
 def _nr_sum(base: VectorForm, arg: VectorForm, count: int, shift: int) -> VectorForm:
-    """sum_{j=0}^{count} [base, arg]^{wedge(j)} / (j + shift)!"""
-    out = VectorForm.zero(base.chart, base.degree)
-    for j in range(count + 1):
-        out = out + iterated_nr_bracket(base, arg, j).scale(Fraction(1, factorial(j + shift)))
+    """sum_{j=0}^{count} [base, arg]^{wedge(j)} / (j + shift)!
+
+    The finite-commutability expansion behind every Theorem 3.8 formula; each
+    iterated bracket is built from the previous one.
+    """
+    out = base.scale(Fraction(1, factorial(shift)))
+    bracket = base
+    for j in range(1, count + 1):
+        bracket = nr_bracket(bracket, arg)
+        out = out + bracket.scale(Fraction(1, factorial(j + shift)))
     return out
+
+
+def _closed_form_1(phi: VectorForm, quad: Fraction = Fraction(1, 2)) -> VectorForm:
+    """M with e^{-i_phi} nabla e^{i_phi} = nabla - L_phi - i_M (T3.8.1).
+
+    M = quad [phi,phi] + [[phi,phi],phi]^/6 with quad = 1/2; the negative
+    control passes quad = 1.
+    """
+    ff = fn_bracket(phi, phi)
+    return ff.scale(quad) + nr_bracket(ff, phi).scale(Fraction(1, 6))
+
+
+def _closed_form_5(phi: VectorForm, psibar: VectorForm) -> Tuple[VectorForm, VectorForm]:
+    """(K, M) with e^{-i_psibar} L_phi e^{i_psibar} = L_K + i_M (T3.8.5).
+
+    K = phi - i_psibar phi, and M = sum_{j<=3} [A, psibar]^{wedge(j)}/(j+1)!
+    - sum_{j<=2} [B, psibar]^{wedge(j)}/(j+2)! with A = [phi, psibar] and
+    B = [i_psibar phi, psibar].  The first sum runs to j = 3: the j = 3 term
+    vanishes on integrable charts but NOT in general (the bracket [phi,psibar]
+    picks up torsion-sourced components outside the four bidegree slots the
+    truncation-at-2 argument assumes), and Lemma 3.6 forces its 1/4! coefficient.
+    """
+    i_psibar_phi = contract(psibar, phi)
+    A = fn_bracket(phi, psibar)
+    B = fn_bracket(i_psibar_phi, psibar)
+    return phi - i_psibar_phi, _nr_sum(A, psibar, 3, 1) - _nr_sum(B, psibar, 2, 2)
 
 
 # -- individual identity checks ---------------------------------------------------
@@ -181,15 +213,8 @@ def _check_T381(ctx: _CheckContext, corrupt: bool = False):
     fam = ctx.family()
     nab = nabla(conn)
     lhs = conjugate_operator(nab, phi)
-    ff = fn_bracket(phi, phi)
-    fff = nr_bracket(ff, phi)
-    quad_coeff = Fraction(1, 1) if corrupt else Fraction(1, 2)
-    rhs = (
-        nab
-        - lie_derivative(phi, conn)
-        - interior_op(ff.scale(quad_coeff))
-        - interior_op(fff.scale(Fraction(1, 6)))
-    )
+    M = _closed_form_1(phi, Fraction(1) if corrupt else Fraction(1, 2))
+    rhs = nab - lie_derivative(phi, conn) - interior_op(M)
     return [("conjugated-connection", operator_residuals(lhs, rhs, fam))]
 
 
@@ -235,12 +260,7 @@ def _check_T384(ctx: _CheckContext):
     lhs1 = conjugate_operator(interior_op(phi), psibar)
     # The transported form carries 1/j! on the j-th iterated bracket, exactly
     # as in the second identity of this group; [phi,psibar]^{wedge(3)} = 0.
-    transported = (
-        phi
-        + nr_bracket(phi, psibar)
-        + iterated_nr_bracket(phi, psibar, 2).scale(Fraction(1, 2))
-    )
-    rhs1 = interior_op(transported)
+    rhs1 = interior_op(_nr_sum(phi, psibar, 2, 0))
     ff = fn_bracket(phi, phi)
     lhs2 = conjugate_operator(interior_op(ff), psibar)
     rhs2 = interior_op(_nr_sum(ff, psibar, 3, 0))
@@ -250,52 +270,15 @@ def _check_T384(ctx: _CheckContext):
     ]
 
 
-def _t385_rhs(phi: VectorForm, psibar: VectorForm, conn: Connection) -> DerivationOp:
-    """Closed form of e^{-i_psibar} L_phi e^{i_psibar}.
-
-    The first interior sum runs to j = 3: the j = 3 term [[phi,psibar],psibar]^{wedge(3)}
-    vanishes on integrable charts but NOT in general (the bracket [phi,psibar]
-    picks up torsion-sourced components outside the four bidegree slots the
-    truncation-at-2 argument assumes), and Lemma 3.6 forces its 1/4! coefficient.
-    """
-    A = fn_bracket(phi, psibar)
-    B = fn_bracket(contract(psibar, phi), psibar)
-    return (
-        lie_derivative(phi - contract(psibar, phi), conn)
-        + interior_op(_nr_sum(A, psibar, 3, 1))
-        - interior_op(_nr_sum(B, psibar, 2, 2))
-    )
-
-
 def _check_T385(ctx: _CheckContext):
     conn = ctx.connection()
     phi = ctx.phi()
     psibar = conjugate_form(ctx.psi())
     fam = ctx.family()
     lhs = conjugate_operator(lie_derivative(phi, conn), psibar)
-    rhs = _t385_rhs(phi, psibar, conn)
+    K, M = _closed_form_5(phi, psibar)
+    rhs = lie_derivative(K, conn) + interior_op(M)
     return [("conjugated-lie", operator_residuals(lhs, rhs, fam))]
-
-
-def _t386_rhs(phi: VectorForm, psibar: VectorForm, conn: Connection) -> DerivationOp:
-    nab = nabla(conn)
-    pp = fn_bracket(psibar, psibar)
-    ppp = nr_bracket(pp, psibar)
-    ff = fn_bracket(phi, phi)
-    fff = nr_bracket(ff, phi)
-    A = fn_bracket(phi, psibar)
-    B = fn_bracket(contract(psibar, phi), psibar)
-    return (
-        nab
-        - lie_derivative(psibar, conn)
-        - interior_op(pp.scale(Fraction(1, 2)))
-        - interior_op(ppp.scale(Fraction(1, 6)))
-        - lie_derivative(phi - contract(psibar, phi), conn)
-        - interior_op(_nr_sum(A, psibar, 3, 1))
-        + interior_op(_nr_sum(B, psibar, 2, 2))
-        - interior_op(_nr_sum(ff, psibar, 3, 0).scale(Fraction(1, 2)))
-        - interior_op(_nr_sum(fff, psibar, 3, 0).scale(Fraction(1, 6)))
-    )
 
 
 def _check_T386(ctx: _CheckContext):
@@ -303,23 +286,22 @@ def _check_T386(ctx: _CheckContext):
     phi = ctx.phi()
     psibar = conjugate_form(ctx.psi())
     fam = ctx.family()
-    rhs = _t386_rhs(phi, psibar, conn)
-    lhs_direct = conjugate_operator(conjugate_operator(nabla(conn), phi), psibar)
-    residual_direct = operator_residuals(lhs_direct, rhs, fam)
-    # Composition route, mirroring the proof: conjugate the closed form of (1) by psibar.
-    ff = fn_bracket(phi, phi)
-    fff = nr_bracket(ff, phi)
-    closed1 = (
-        nabla(conn)
-        - lie_derivative(phi, conn)
-        - interior_op(ff.scale(Fraction(1, 2)))
-        - interior_op(fff.scale(Fraction(1, 6)))
+    nab = nabla(conn)
+    M1 = _closed_form_1(phi)
+    closed1 = nab - lie_derivative(phi, conn) - interior_op(M1)
+    # Conjugating closed1 by psibar term by term: (1) for nabla, (5) for L_phi
+    # and the interior transport of (4) for i_M1, fused by linearity of L and i.
+    K5, M5 = _closed_form_5(phi, psibar)
+    rhs = (
+        nab
+        - lie_derivative(psibar + K5, conn)
+        - interior_op(_closed_form_1(psibar) + M5 + _nr_sum(M1, psibar, 3, 0))
     )
+    lhs_direct = conjugate_operator(conjugate_operator(nab, phi), psibar)
     lhs_composed = conjugate_operator(closed1, psibar)
-    residual_composed = operator_residuals(lhs_composed, rhs, fam)
     return [
-        ("direct", residual_direct),
-        ("via-(1)+(4)+(5)", residual_composed),
+        ("direct", operator_residuals(lhs_direct, rhs, fam)),
+        ("via-(1)+(4)+(5)", operator_residuals(lhs_composed, rhs, fam)),
     ]
 
 
@@ -527,9 +509,9 @@ def _check_NILP(ctx: _CheckContext):
             failures.append((f"nilpotency:{label}", power))
     exp_plus, exp_minus = exp_interior(phi)
     round_trip = exp_minus.compose(exp_plus)
-    ident = DerivationOp(0, lambda u: u, "id")
     failures.extend(
-        (f"inverse:{label}", res) for label, res in operator_residuals(round_trip, ident, fam)
+        (f"inverse:{label}", res)
+        for label, res in operator_residuals(round_trip, identity_op(), fam)
     )
     return [("nilpotency-and-inverse", failures)]
 
@@ -613,11 +595,10 @@ def check_identity(spec: IdentityCheck) -> IdentityReport:
         return IdentityReport(
             id=spec.id, chart=spec.chart, status="pass", seeds=dict(ctx.seeds), millis=millis
         )
-    printable = [(label, res) for label, res in bad]
-    if all(isinstance(res, BundleForm) for _, res in printable):
-        label, text = _worst(printable)  # type: ignore[arg-type]
+    if all(isinstance(res, BundleForm) for _, res in bad):
+        label, text = _worst(bad)  # type: ignore[arg-type]
     else:
-        label, text = printable[0][0], str(printable[0][1])
+        label, text = bad[0][0], str(bad[0][1])
     return IdentityReport(
         id=spec.id,
         chart=spec.chart,
@@ -627,10 +608,6 @@ def check_identity(spec: IdentityCheck) -> IdentityReport:
         worst_residual=text,
         millis=millis,
     )
-
-
-def _run_single(args: Tuple[IdentityCheck]) -> IdentityReport:
-    return check_identity(args[0])
 
 
 def run_suite(config: "RunConfig") -> Tuple[List[IdentityReport], dict]:
@@ -643,7 +620,6 @@ def run_suite(config: "RunConfig") -> Tuple[List[IdentityReport], dict]:
     for cid in ids:
         if cid not in _REGISTRY_BY_ID:
             raise KeyError(f"unknown identity id {cid!r}")
-    parse_chart_name(config.chart)  # fail fast on bad chart names
     specs = [
         IdentityCheck(
             id=cid,

@@ -1,10 +1,15 @@
 """The identity registry: determinism, skips, negative controls, cross-checks."""
 
+from fractions import Fraction
+from math import factorial
+
 import pytest
 
+from acderiv import conjugate_form, fn_bracket, iterated_nr_bracket, random_form
 from acderiv.verifier import (
     REGISTRY_IDS,
     IdentityCheck,
+    _nr_sum,
     check_identity,
     parse_chart_name,
     registry_descriptions,
@@ -83,6 +88,19 @@ def test_corrupted_rhs_actually_fails():
     groups = _check_T381(ctx, corrupt=True)
     _, residuals = groups[0]
     assert residuals, "dropping the 1/2 coefficient must leave a residual"
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 3])
+@pytest.mark.parametrize("shift", [0, 1, 2])
+def test_nr_sum_matches_iterated_brackets(twisted2, count, shift):
+    phi = random_form(twisted2, (0, 1), "1,0", 1, "nr-sum-phi")
+    psibar = conjugate_form(random_form(twisted2, (0, 1), "1,0", 1, "nr-sum-psi"))
+    for base in (phi, fn_bracket(phi, psibar)):
+        expected = base.scale(0)
+        for j in range(count + 1):
+            term = iterated_nr_bracket(base, psibar, j)
+            expected = expected + term.scale(Fraction(1, factorial(j + shift)))
+        assert _nr_sum(base, psibar, count, shift) == expected
 
 
 def test_run_suite_summary_counts():
