@@ -7,6 +7,7 @@ so the coefficient ring must be exact.  There is deliberately no float mode.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import gcd
 from typing import Iterable, Mapping, Union
 
@@ -163,6 +164,13 @@ ScalarLike = Union[GaussRational, int, Fraction]
 
 _EXP_BITS = 16
 _EXP_MASK = (1 << _EXP_BITS) - 1
+_EXP_LIMIT = 1 << (_EXP_BITS - 1)
+
+
+@cache
+def _guard_bits(num_vars: int) -> int:
+    """The top bit of every exponent field; set in a code only after an overflow."""
+    return sum(_EXP_LIMIT << (_EXP_BITS * i) for i in range(num_vars))
 
 
 class PolyScalar:
@@ -170,8 +178,11 @@ class PolyScalar:
 
     Exponent multi-indices are packed into a single integer, 16 bits per
     variable, so that multiplying monomials is integer addition of keys.
-    Per-variable exponents therefore must stay below 65536, far beyond
-    anything the degree-bounded inputs of this package can produce.
+    The top bit of each field is a guard bit: stored exponents stay below
+    2^15, so the sum of two fields never carries into the next one, and a
+    product whose exponent reaches 2^15 raises OverflowError instead of
+    wrapping into the next variable.  That bound is far beyond anything
+    the degree-bounded inputs of this package can produce.
 
     Coefficients are Gaussian-integer numerator pairs (an, bn) over a single
     common denominator, which keeps normalization at one early-exit gcd pass
@@ -215,7 +226,7 @@ class PolyScalar:
         code = 0
         for i, e in enumerate(exps):
             if e:
-                if not 0 <= e <= _EXP_MASK:
+                if not 0 <= e < _EXP_LIMIT:
                     raise ValueError(f"exponent {e} out of range")
                 code |= e << (_EXP_BITS * i)
         return code
@@ -303,18 +314,19 @@ class PolyScalar:
 
     # -- ring operations ----------------------------------------------
 
-    def __add__(self, other):
+    def _signed_add(self, other, sign: int):
+        """self + sign * other over the least common denominator, sign = 1 or -1."""
         if isinstance(other, (int, Fraction, GaussRational)):
             other = PolyScalar.constant(other, self.num_vars)
         self._check_compatible(other)
         d1, d2 = self.den, other.den
         if d1 == d2:
-            m1 = m2 = 1
+            m1, m2 = 1, sign
             den = d1
         else:
             g = gcd(d1, d2)
             m1 = d2 // g
-            m2 = d1 // g
+            m2 = sign * (d1 // g)
             den = d1 * m1
         if m1 == 1:
             out = dict(self.terms)
@@ -334,6 +346,9 @@ class PolyScalar:
                     del out[code]
         return PolyScalar(self.num_vars, out, den)
 
+    def __add__(self, other):
+        return self._signed_add(other, 1)
+
     __radd__ = __add__
 
     def __neg__(self):
@@ -345,9 +360,7 @@ class PolyScalar:
         )
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, GaussRational)):
-            other = PolyScalar.constant(other, self.num_vars)
-        return self + (-other)
+        return self._signed_add(other, -1)
 
     def __rsub__(self, other):
         return PolyScalar.constant(other, self.num_vars) - self
@@ -380,6 +393,10 @@ class PolyScalar:
                         out[code] = (ar, br)
                     else:
                         del out[code]
+        guard = _guard_bits(self.num_vars)
+        for code in out:
+            if code & guard:
+                raise OverflowError(f"exponent reaches {_EXP_LIMIT} in a polynomial product")
         return PolyScalar(self.num_vars, out, self.den * other.den)
 
     __rmul__ = __mul__

@@ -8,6 +8,7 @@ non-integrable chart).
 
 from __future__ import annotations
 
+import operator
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -38,6 +39,23 @@ def _merge_sign(left: tuple, right: tuple):
     merged.extend(left[i:])
     merged.extend(right[j:])
     return tuple(merged), (1 if inversions % 2 == 0 else -1)
+
+
+def _accumulate(out: dict, triples) -> dict:
+    """Add each (index key, sign 1 or -1, coefficient) into out; zeros and cancelled keys drop out."""
+    for key, sign, coeff in triples:
+        if not coeff:
+            continue
+        acc = out.get(key)
+        if acc is None:
+            out[key] = coeff if sign > 0 else -coeff
+            continue
+        acc = acc + coeff if sign > 0 else acc - coeff
+        if acc:
+            out[key] = acc
+        else:
+            del out[key]
+    return out
 
 
 class ScalarForm:
@@ -113,26 +131,19 @@ class ScalarForm:
 
     # -- linear operations ------------------------------------------------
 
-    def __add__(self, other: "ScalarForm") -> "ScalarForm":
+    def _signed_add(self, other: "ScalarForm", sign: int) -> "ScalarForm":
         self._check_chart(other)
-        out = dict(self.terms)
-        for key, f in other.terms.items():
-            acc = out.get(key)
-            if acc is None:
-                out[key] = f
-            else:
-                acc = acc + f
-                if acc:
-                    out[key] = acc
-                else:
-                    del out[key]
-        return ScalarForm(self.chart, out)
+        triples = ((key, sign, f) for key, f in other.terms.items())
+        return ScalarForm(self.chart, _accumulate(dict(self.terms), triples))
+
+    def __add__(self, other: "ScalarForm") -> "ScalarForm":
+        return self._signed_add(other, 1)
 
     def __neg__(self):
         return ScalarForm(self.chart, {k: -f for k, f in self.terms.items()})
 
     def __sub__(self, other: "ScalarForm") -> "ScalarForm":
-        return self + (-other)
+        return self._signed_add(other, -1)
 
     def scale(self, value) -> "ScalarForm":
         value = GaussRational.coerce(value)
@@ -157,70 +168,22 @@ class ScalarForm:
 
     def wedge(self, other: "ScalarForm") -> "ScalarForm":
         self._check_chart(other)
-        out: dict = {}
-        for key_a, fa in self.terms.items():
-            for key_b, fb in other.terms.items():
-                key, sign = _merge_sign(key_a, key_b)
-                if key is None:
-                    continue
-                coeff = fa * fb
-                if sign < 0:
-                    coeff = -coeff
-                if not coeff:
-                    continue
-                acc = out.get(key)
-                if acc is None:
-                    out[key] = coeff
-                else:
-                    acc = acc + coeff
-                    if acc:
-                        out[key] = acc
-                    else:
-                        del out[key]
-        return ScalarForm(self.chart, out)
-
-    def interior_basis(self, axis: int) -> "ScalarForm":
-        """Contraction with the coordinate frame field of the given axis."""
-        out: dict = {}
-        for key, f in self.terms.items():
-            try:
-                pos = key.index(axis)
-            except ValueError:
-                continue
-            reduced = key[:pos] + key[pos + 1 :]
-            coeff = f if pos % 2 == 0 else -f
-            acc = out.get(reduced)
-            if acc is None:
-                out[reduced] = coeff
-            else:
-                acc = acc + coeff
-                if acc:
-                    out[reduced] = acc
-                else:
-                    del out[reduced]
-        return ScalarForm(self.chart, out)
+        pairs = (
+            (_merge_sign(key_a, key_b), fa, fb)
+            for key_a, fa in self.terms.items()
+            for key_b, fb in other.terms.items()
+        )
+        triples = ((key, sign, fa * fb) for (key, sign), fa, fb in pairs if key is not None)
+        return ScalarForm(self.chart, _accumulate({}, triples))
 
     def exterior_d(self) -> "ScalarForm":
-        out: dict = {}
-        for key, f in self.terms.items():
-            for axis in range(self.chart.dim):
-                if axis in key:
-                    continue
-                df = f.partial_derivative(axis)
-                if df.is_zero():
-                    continue
-                new_key, sign = _merge_sign((axis,), key)
-                coeff = df if sign > 0 else -df
-                acc = out.get(new_key)
-                if acc is None:
-                    out[new_key] = coeff
-                else:
-                    acc = acc + coeff
-                    if acc:
-                        out[new_key] = acc
-                    else:
-                        del out[new_key]
-        return ScalarForm(self.chart, out)
+        triples = (
+            (*_merge_sign((axis,), key), f.partial_derivative(axis))
+            for key, f in self.terms.items()
+            for axis in range(self.chart.dim)
+            if axis not in key
+        )
+        return ScalarForm(self.chart, _accumulate({}, triples))
 
     # -- comparison and display ---------------------------------------------
 
@@ -281,18 +244,19 @@ class VectorForm:
         if self.degree != other.degree and not (self.is_zero() or other.is_zero()):
             raise ValueError("vector form degrees differ")
 
-    def __add__(self, other: "VectorForm") -> "VectorForm":
+    def _componentwise(self, other: "VectorForm", op) -> "VectorForm":
         self._check_compatible(other)
         degree = other.degree if self.is_zero() else self.degree
-        return VectorForm(
-            self.chart, degree, [a + b for a, b in zip(self.comps, other.comps)]
-        )
+        return VectorForm(self.chart, degree, list(map(op, self.comps, other.comps)))
+
+    def __add__(self, other: "VectorForm") -> "VectorForm":
+        return self._componentwise(other, operator.add)
 
     def __neg__(self):
         return VectorForm(self.chart, self.degree, [-c for c in self.comps])
 
     def __sub__(self, other: "VectorForm") -> "VectorForm":
-        return self + (-other)
+        return self._componentwise(other, operator.sub)
 
     def scale(self, value) -> "VectorForm":
         return VectorForm(self.chart, self.degree, [c.scale(value) for c in self.comps])
@@ -304,14 +268,15 @@ class VectorForm:
         """Project the tangent value onto T^{1,0} (side "1,0") or T^{0,1} ("0,1")."""
         proj = self.chart.projectors()
         mat = proj.P10 if side == "1,0" else proj.P01
-        dim = self.chart.dim
         comps = []
-        for b in range(dim):
-            acc = ScalarForm.zero(self.chart)
-            for a in range(dim):
-                if self.comps[a].terms and mat[b][a]:
-                    acc = acc + self.comps[a].mul_poly(mat[b][a])
-            comps.append(acc)
+        for row in mat:
+            triples = (
+                (key, 1, f * row[a])
+                for a, comp in enumerate(self.comps)
+                if row[a]
+                for key, f in comp.terms.items()
+            )
+            comps.append(ScalarForm(self.chart, _accumulate({}, triples)))
         return VectorForm(self.chart, self.degree, comps)
 
     def __eq__(self, other):
@@ -374,7 +339,8 @@ class BundleForm:
         return BundleForm(self.chart, [-c for c in self.comps])
 
     def __sub__(self, other: "BundleForm") -> "BundleForm":
-        return self + (-other)
+        self._check_compatible(other)
+        return BundleForm(self.chart, [a - b for a, b in zip(self.comps, other.comps)])
 
     def scale(self, value) -> "BundleForm":
         return BundleForm(self.chart, [c.scale(value) for c in self.comps])
@@ -405,8 +371,23 @@ def wedge(alpha: ScalarForm, beta: ScalarForm) -> ScalarForm:
     return alpha.wedge(beta)
 
 
+def _interior_terms(K: VectorForm, target: ScalarForm):
+    """One triple per (target term f dx^key, slot pos of key holding axis a, term g of kappa^a).
+
+    Its coefficient is g * f and its sign (-1)^pos, from contracting slot pos,
+    times the sign of wedging g's index key in front of what is left.
+    """
+    for key, f in target.terms.items():
+        for pos, axis in enumerate(key):
+            reduced = key[:pos] + key[pos + 1 :]
+            for k_key, g in K.comps[axis].terms.items():
+                merged, sign = _merge_sign(k_key, reduced)
+                if merged is not None:
+                    yield merged, sign if pos % 2 == 0 else -sign, g * f
+
+
 def interior(K: VectorForm, target):
-    """Interior derivative i_K: kappa^a wedge (contraction along axis a), per axis.
+    """Interior derivative i_K: sum over axes a of kappa^a wedge (contraction along a).
 
     Acts componentwise on BundleForm.  For K of form degree k+1 this is the
     algebraic derivation of degree k; it kills all degree-0 forms.
@@ -415,14 +396,7 @@ def interior(K: VectorForm, target):
         return BundleForm(target.chart, [interior(K, c) for c in target.comps])
     if K.chart is not target.chart:
         raise ValueError("forms live on different charts")
-    out = ScalarForm.zero(target.chart)
-    for axis, comp in enumerate(K.comps):
-        if comp.is_zero():
-            continue
-        contracted = target.interior_basis(axis)
-        if contracted.terms:
-            out = out + comp.wedge(contracted)
-    return out
+    return ScalarForm(target.chart, _accumulate({}, _interior_terms(K, target)))
 
 
 def contract(K: VectorForm, L: VectorForm) -> VectorForm:
@@ -555,10 +529,12 @@ def bidegree_split_scalar(alpha: ScalarForm, p: int, q: int) -> ScalarForm:
     if alpha.degree() != p + q:
         raise ValueError(f"(p, q) = ({p}, {q}) does not match form degree {alpha.degree()}")
     chart = alpha.chart
-    out = ScalarForm.zero(chart)
-    for key, coeff in alpha.terms.items():
-        out = out + _projected_basis_form(chart, key, p).mul_poly(coeff)
-    return out
+    triples = (
+        (key, 1, f * coeff)
+        for basis_key, coeff in alpha.terms.items()
+        for key, f in _projected_basis_form(chart, basis_key, p).terms.items()
+    )
+    return ScalarForm(chart, _accumulate({}, triples))
 
 
 def bidegree_split(form, p: int, q: int, value_side: str | None = None):

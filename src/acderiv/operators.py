@@ -13,6 +13,7 @@ transported exponential) over exact Gaussian rationals.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -100,20 +101,24 @@ class DerivationOp:
     def __call__(self, u: BundleForm) -> BundleForm:
         return self.action(u)
 
-    def __add__(self, other: "DerivationOp") -> "DerivationOp":
+    def _pointwise(self, other: "DerivationOp", op, symbol: str) -> "DerivationOp":
+        """u -> op(self(u), other(u)), for op = operator.add or operator.sub."""
         if self.degree != other.degree:
-            raise ValueError("cannot add operators of different degrees")
+            raise ValueError("cannot combine operators of different degrees")
         return DerivationOp(
             self.degree,
-            lambda u, a=self.action, b=other.action: a(u) + b(u),
-            f"({self.tag} + {other.tag})",
+            lambda u, a=self.action, b=other.action: op(a(u), b(u)),
+            f"({self.tag} {symbol} {other.tag})",
         )
+
+    def __add__(self, other: "DerivationOp") -> "DerivationOp":
+        return self._pointwise(other, operator.add, "+")
 
     def __neg__(self) -> "DerivationOp":
         return DerivationOp(self.degree, lambda u, a=self.action: -a(u), f"(-{self.tag})")
 
     def __sub__(self, other: "DerivationOp") -> "DerivationOp":
-        return self + (-other)
+        return self._pointwise(other, operator.sub, "-")
 
     def scale(self, value) -> "DerivationOp":
         return DerivationOp(
@@ -447,20 +452,18 @@ class AlgebraElement:
         if self.dim != other.dim:
             raise ValueError("matrix dimension mismatch")
 
-    def __add__(self, other):
+    def _entrywise(self, other, op):
         self._check(other)
-        return AlgebraElement(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ]
-        )
+        return AlgebraElement([list(map(op, ra, rb)) for ra, rb in zip(self.entries, other.entries)])
+
+    def __add__(self, other):
+        return self._entrywise(other, operator.add)
 
     def __neg__(self):
         return AlgebraElement([[-a for a in row] for row in self.entries])
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._entrywise(other, operator.sub)
 
     def __mul__(self, other):
         self._check(other)

@@ -16,6 +16,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from math import factorial
 from typing import Callable, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
@@ -94,7 +95,9 @@ class IdentityReport:
         return self.status == "pass"
 
 
+@cache
 def parse_chart_name(name: str) -> Chart:
+    """standard:n or twisted:n, built once per name: a chart's only mutable state is its memos."""
     kind, _, dim = name.partition(":")
     if not dim or not dim.lstrip("-").isdigit():
         raise ValueError(f"malformed chart name {name!r}; expected standard:n or twisted:n")

@@ -56,6 +56,17 @@ def test_gauss_rational_normalization_is_canonical():
 def test_additive_inverse():
     x1 = PolyScalar.variable(0, 4)
     assert (x1 + (-x1)).is_zero()
+    # operands over different denominators (3 and 10) take the rescaling path
+    a = PolyScalar.monomial(Fraction(2, 3), (1, 0, 0, 0), 4) + PolyScalar.constant(
+        GaussRational(0, Fraction(1, 3)), 4
+    )
+    b = PolyScalar.monomial(GaussRational(Fraction(1, 2), Fraction(-3, 5)), (1, 0, 0, 0), 4)
+    b = b + PolyScalar.monomial(Fraction(7, 10), (0, 2, 0, 0), 4)
+    assert a - b == a + (-b)
+    assert b - a == b + (-a)
+    for p in (a, b):
+        assert not (p - p).terms
+        assert (p - p).den == 1
 
 
 def test_product_of_variables():
@@ -169,6 +180,21 @@ def test_conjugate_commutes_with_derivative():
         p = rand_poly(rng)
         for axis in range(4):
             assert p.partial_derivative(axis).conjugate() == p.conjugate().partial_derivative(axis)
+
+
+def test_exponent_overflow_raises_instead_of_wrapping():
+    # without the guard bit, x1^65535 * x1 carried silently into x2
+    top = PolyScalar.monomial(1, (2**15 - 1, 0), 2)
+    x1 = PolyScalar.variable(0, 2)
+    with pytest.raises(OverflowError):
+        top * x1
+    half = PolyScalar.monomial(1, (2**14, 2**14), 2)
+    with pytest.raises(OverflowError):
+        half * half
+    assert (top * PolyScalar.variable(1, 2)).coefficient((2**15 - 1, 1)) == 1
+    for exps in ((2**15, 0), (0, 65535)):
+        with pytest.raises(ValueError):
+            PolyScalar.pack_exponents(exps)
 
 
 def test_exponent_packing_round_trip():

@@ -1,0 +1,85 @@
+"""PolyScalar ring arithmetic against sympy's polynomial ring over QQ_I.
+
+sympy shares no code with acderiv.algebra, so agreement on hypothesis-drawn
+operands (mixed denominators, Gaussian-rational coefficients, up to four
+variables) is an independent check of +, -, *, negation and scale.  Results
+are also compared structurally after rebuilding them from sympy's terms,
+which checks that every result is stored in canonical form.
+"""
+
+from fractions import Fraction
+from math import lcm
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+sympy = pytest.importorskip("sympy")
+
+from hypothesis import given, settings, strategies as st  # noqa: E402
+from sympy import QQ, QQ_I  # noqa: E402
+from sympy.polys.rings import ring  # noqa: E402
+
+from acderiv.algebra import GaussRational, PolyScalar  # noqa: E402
+
+MAX_VARS = 4
+
+rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+gauss = st.builds(GaussRational, rationals, rationals)
+
+
+@st.composite
+def poly_pairs(draw):
+    """Two polynomials in the same 1-4 variables, each as {exponents: GaussRational}."""
+    num_vars = draw(st.integers(1, MAX_VARS))
+    exps = st.tuples(*[st.integers(0, 3)] * num_vars)
+    terms = st.dictionaries(exps, gauss, max_size=5)
+    return num_vars, draw(terms), draw(terms)
+
+
+def build(num_vars: int, terms: dict) -> PolyScalar:
+    """A PolyScalar from {exponents: GaussRational}, over one common denominator."""
+    den = lcm(1, *(c.d for c in terms.values()))
+    packed = {
+        PolyScalar.pack_exponents(e): (c.an * (den // c.d), c.bn * (den // c.d))
+        for e, c in terms.items()
+        if c
+    }
+    return PolyScalar(num_vars, packed, den)
+
+
+def to_qq_i(c: GaussRational):
+    return QQ_I(QQ(c.re.numerator, c.re.denominator), QQ(c.im.numerator, c.im.denominator))
+
+
+def to_sympy(ring_, poly: PolyScalar):
+    return ring_({e: to_qq_i(c) for e, c in poly.terms_by_exponents().items()})
+
+
+def from_sympy(num_vars: int, element) -> PolyScalar:
+    terms = {
+        e: GaussRational(
+            Fraction(int(c.x.numerator), int(c.x.denominator)),
+            Fraction(int(c.y.numerator), int(c.y.denominator)),
+        )
+        for e, c in element.items()
+    }
+    return build(num_vars, terms)
+
+
+def assert_matches(num_vars: int, poly: PolyScalar, expected):
+    """Equal in value, and stored exactly as the canonical rebuild of expected."""
+    assert poly == from_sympy(num_vars, expected)
+
+
+@settings(database=None, derandomize=True, deadline=None, max_examples=150)
+@given(poly_pairs(), gauss)
+def test_ring_operations_match_sympy(pair, c):
+    num_vars, terms_p, terms_q = pair
+    ring_, *_ = ring([f"x{i}" for i in range(num_vars)], QQ_I)
+    p, q = build(num_vars, terms_p), build(num_vars, terms_q)
+    sp, sq = to_sympy(ring_, p), to_sympy(ring_, q)
+    assert_matches(num_vars, p + q, sp + sq)
+    assert_matches(num_vars, p - q, sp - sq)
+    assert_matches(num_vars, p * q, sp * sq)
+    assert_matches(num_vars, -p, -sp)
+    assert_matches(num_vars, p.scale(c), sp.mul_ground(to_qq_i(c)))

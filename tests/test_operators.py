@@ -30,7 +30,13 @@ from acderiv import (
     random_form,
     refined_decompose,
 )
-from acderiv.forms import BundleForm, ScalarForm, random_scalar_form, random_vector_form
+from acderiv.forms import (
+    BundleForm,
+    ScalarForm,
+    random_bundle_form,
+    random_scalar_form,
+    random_vector_form,
+)
 from acderiv.operators import (
     DecompositionError,
     NotNilpotentError,
@@ -44,7 +50,7 @@ from acderiv.operators import (
     random_matrix,
     random_strict_upper,
 )
-from acderiv.algebra import PolyScalar
+from acderiv.algebra import GaussRational, PolyScalar
 
 
 def ops_equal(lhs, rhs, chart, rank):
@@ -211,6 +217,32 @@ def test_interior_and_lie_are_linear_in_K(twisted2, degree):
         twisted2,
         2,
     )
+
+
+@pytest.mark.parametrize("kind", ["scalar", "vector", "bundle", "operator"])
+def test_subtraction_is_signed_addition(twisted2, kind):
+    # b is rescaled by a non-integer Gaussian rational, so a and b differ in denominator
+    rng = random.Random(f"sub-{kind}")
+    c = GaussRational(Fraction(1, 2), Fraction(-2, 3))
+    if kind == "operator":
+        conn = random_connection(twisted2, 2, 1, "sub-conn")
+        K = random_vector_form(twisted2, 1, 1, rng)
+        A, B = nabla(conn), lie_derivative(K, conn).scale(c)
+        for _, u in generator_family(twisted2, 2):
+            assert (A - B)(u) == A(u) - B(u)
+            assert (A - B)(u) == (A + (-B))(u)
+        return
+    if kind == "scalar":
+        a, b = (random_scalar_form(twisted2, 2, 2, rng) for _ in range(2))
+    elif kind == "vector":
+        a, b = (random_vector_form(twisted2, 2, 2, rng) for _ in range(2))
+    else:
+        a, b = (random_bundle_form(twisted2, 2, 2, 2, rng) for _ in range(2))
+    b = b.scale(c)
+    assert a - b == a + (-b)
+    assert (a - b) + b == a
+    assert (a - a).is_zero()
+    assert a.scale(0) - b == -b  # every key of b is new to the zero form
 
 
 def test_lie_decomposes_through_torsion(twisted2):

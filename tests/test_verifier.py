@@ -36,8 +36,14 @@ def test_unknown_id_raises():
 
 def test_parse_chart_name_errors():
     for bad in ("standard", "standard:x", "standard:0", "mystery:2"):
-        with pytest.raises(ValueError):
-            parse_chart_name(bad)
+        for _ in range(2):  # a failed parse is not cached
+            with pytest.raises(ValueError):
+                parse_chart_name(bad)
+
+
+def test_parse_chart_name_builds_each_chart_once():
+    assert parse_chart_name("twisted:2") is parse_chart_name("twisted:2")
+    assert parse_chart_name("standard:1") is not parse_chart_name("standard:2")
 
 
 @pytest.mark.parametrize("cid", ["EQ2.3", "EX3.1", "L3.7.3", "P3.3", "NILP"])
