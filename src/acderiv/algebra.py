@@ -7,8 +7,9 @@ so the coefficient ring must be exact.  There is deliberately no float mode.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
+from functools import cache, reduce
 from math import gcd
+from operator import or_
 from typing import Iterable, Mapping, Union
 
 RationalLike = Union[int, Fraction]
@@ -188,7 +189,8 @@ class PolyScalar:
     common denominator, which keeps normalization at one early-exit gcd pass
     per ring operation instead of one per coefficient.  No zero pairs are
     stored and gcd(all numerators, den) = 1, so structural equality of
-    (terms, den) is polynomial equality.
+    (terms, den) is polynomial equality.  A caller passing _normalized=True
+    hands over a fresh map already in that form; it is kept, not copied.
     """
 
     __slots__ = ("num_vars", "terms", "den")
@@ -201,9 +203,11 @@ class PolyScalar:
         _normalized: bool = False,
     ):
         self.num_vars = num_vars
-        self.terms = dict(terms) if terms else {}
         self.den = den
-        if not _normalized:
+        if _normalized:
+            self.terms = terms if terms is not None else {}
+        else:
+            self.terms = dict(terms) if terms else {}
             self._normalize()
 
     def _normalize(self):
@@ -315,36 +319,13 @@ class PolyScalar:
     # -- ring operations ----------------------------------------------
 
     def _signed_add(self, other, sign: int):
-        """self + sign * other over the least common denominator, sign = 1 or -1."""
+        """self + sign * other, sign = 1 or -1."""
         if isinstance(other, (int, Fraction, GaussRational)):
             other = PolyScalar.constant(other, self.num_vars)
         self._check_compatible(other)
-        d1, d2 = self.den, other.den
-        if d1 == d2:
-            m1, m2 = 1, sign
-            den = d1
-        else:
-            g = gcd(d1, d2)
-            m1 = d2 // g
-            m2 = sign * (d1 // g)
-            den = d1 * m1
-        if m1 == 1:
-            out = dict(self.terms)
-        else:
-            out = {e: (an * m1, bn * m1) for e, (an, bn) in self.terms.items()}
-        get = out.get
-        for code, (an, bn) in other.terms.items():
-            cur = get(code)
-            if cur is None:
-                out[code] = (an * m2, bn * m2)
-            else:
-                ar = cur[0] + an * m2
-                br = cur[1] + bn * m2
-                if ar or br:
-                    out[code] = (ar, br)
-                else:
-                    del out[code]
-        return PolyScalar(self.num_vars, out, den)
+        acc = ProductSum(self.num_vars, self)
+        acc.add(sign, other)
+        return acc.total()
 
     def __add__(self, other):
         return self._signed_add(other, 1)
@@ -369,35 +350,9 @@ class PolyScalar:
         if isinstance(other, (int, Fraction, GaussRational)):
             return self.scale(other)
         self._check_compatible(other)
-        if not self.terms or not other.terms:
-            return PolyScalar(self.num_vars, _normalized=True)
-        a, b = self.terms, other.terms
-        if len(a) > len(b):
-            a, b = b, a
-        out: dict = {}
-        get = out.get
-        b_items = list(b.items())
-        for ea, (a1, b1) in a.items():
-            for eb, (a2, b2) in b_items:
-                code = ea + eb
-                ar = a1 * a2 - b1 * b2
-                br = a1 * b2 + b1 * a2
-                cur = get(code)
-                if cur is None:
-                    if ar or br:
-                        out[code] = (ar, br)
-                else:
-                    ar += cur[0]
-                    br += cur[1]
-                    if ar or br:
-                        out[code] = (ar, br)
-                    else:
-                        del out[code]
-        guard = _guard_bits(self.num_vars)
-        for code in out:
-            if code & guard:
-                raise OverflowError(f"exponent reaches {_EXP_LIMIT} in a polynomial product")
-        return PolyScalar(self.num_vars, out, self.den * other.den)
+        acc = ProductSum(self.num_vars)
+        acc.add(1, self, other)
+        return acc.total()
 
     __rmul__ = __mul__
 
@@ -477,3 +432,86 @@ class PolyScalar:
             else:
                 parts.append(f"{coeff}*{body}")
         return " + ".join(parts)
+
+
+class ProductSum:
+    """A running sum of signed polynomial products sign * f * g, and of bare terms sign * f.
+
+    The sum is one mutable numerator map over a running common denominator.
+    Each product is multiplied straight into the map, with
+    sign * (den / (f.den * g.den)) folded into the smaller operand; when the
+    common denominator has to grow, the map is rescaled in place.  Codes a
+    product cancels stay in the map as (0, 0) until total(), which checks
+    every code ever produced for a set guard bit, so an overflowed code
+    raises OverflowError even when it cancels, then drops the zeros and
+    builds one canonical PolyScalar.  A bare term's codes are valid already,
+    so its cancellations are dropped at once.  PolyScalar's *, + and - are
+    one-term uses of it.
+    """
+
+    __slots__ = ("num_vars", "terms", "den", "multiplied")
+
+    def __init__(self, num_vars: int, start: PolyScalar | None = None):
+        self.num_vars = num_vars
+        self.multiplied = False
+        if start is None:
+            self.terms = {}
+            self.den = 1
+        else:
+            self.terms = dict(start.terms)
+            self.den = start.den
+
+    def add(self, sign: int, f: PolyScalar, g: PolyScalar | None = None):
+        """Add sign * f * g, or sign * f when g is None; sign is 1 or -1."""
+        d = f.den if g is None else f.den * g.den
+        terms, den = self.terms, self.den
+        if not terms:
+            self.den = den = d
+        elif den % d:
+            grown = den // gcd(den, d) * d
+            r = grown // den
+            for code, (an, bn) in terms.items():
+                terms[code] = (an * r, bn * r)
+            self.den = den = grown
+        s = sign * (den // d)
+        get = terms.get
+        if g is None:
+            for code, (an, bn) in f.terms.items():
+                cur = get(code)
+                if cur is None:
+                    terms[code] = (an * s, bn * s)
+                    continue
+                ar = cur[0] + an * s
+                br = cur[1] + bn * s
+                if ar or br:
+                    terms[code] = (ar, br)
+                else:
+                    del terms[code]
+            return
+        self.multiplied = True
+        a, b = f.terms, g.terms
+        if len(a) > len(b):
+            a, b = b, a
+        for ea, (a1, b1) in a.items():
+            if s != 1:
+                a1 *= s
+                b1 *= s
+            for eb, (a2, b2) in b.items():
+                code = ea + eb
+                cur = get(code)
+                if cur is None:
+                    terms[code] = (a1 * a2 - b1 * b2, a1 * b2 + b1 * a2)
+                else:
+                    terms[code] = (cur[0] + a1 * a2 - b1 * b2, cur[1] + a1 * b2 + b1 * a2)
+
+    def total(self) -> PolyScalar:
+        """The sum as a canonical PolyScalar, which takes over the map: add nothing after."""
+        terms = self.terms
+        if self.multiplied:
+            if reduce(or_, terms, 0) & _guard_bits(self.num_vars):
+                raise OverflowError(f"exponent reaches {_EXP_LIMIT} in a polynomial product")
+            if (0, 0) in terms.values():
+                terms = {code: pair for code, pair in terms.items() if pair != (0, 0)}
+        out = PolyScalar(self.num_vars, terms, self.den, _normalized=True)
+        out._normalize()  # the constructor keeps the map uncopied; reduce it here
+        return out

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List, Sequence
 
-from .algebra import GR_HALF, GaussRational, PolyScalar
+from .algebra import GR_HALF, GaussRational, PolyScalar, ProductSum
 
 PolyMatrix = List[List[PolyScalar]]
 
@@ -44,11 +44,10 @@ def mat_mul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     for i in range(dim):
         row = []
         for j in range(dim):
-            acc = PolyScalar.zero(a[0][0].num_vars)
+            acc = ProductSum(a[0][0].num_vars)
             for k in range(dim):
-                if a[i][k] and b[k][j]:
-                    acc = acc + a[i][k] * b[k][j]
-            row.append(acc)
+                acc.add(1, a[i][k], b[k][j])
+            row.append(acc.total())
         out.append(row)
     return out
 
@@ -185,13 +184,13 @@ def _lie_bracket_fields(chart: Chart, v: Sequence[PolyScalar], w: Sequence[PolyS
     dim = chart.dim
     out = []
     for c in range(dim):
-        acc = PolyScalar.zero(dim)
+        acc = ProductSum(dim)
         for a in range(dim):
             if v[a]:
-                acc = acc + v[a] * w[c].partial_derivative(a)
+                acc.add(1, v[a], w[c].partial_derivative(a))
             if w[a]:
-                acc = acc - w[a] * v[c].partial_derivative(a)
-        out.append(acc)
+                acc.add(-1, w[a], v[c].partial_derivative(a))
+        out.append(acc.total())
     return out
 
 
@@ -212,10 +211,10 @@ def torsion_form(chart: Chart):
         for b in range(a + 1, dim):
             bracket = _lie_bracket_fields(chart, p10_cols[a], p10_cols[b])
             for c in range(dim):
-                val = PolyScalar.zero(dim)
+                acc = ProductSum(dim)
                 for r in range(dim):
-                    if bracket[r]:
-                        val = val + proj.P01[c][r] * bracket[r]
+                    acc.add(1, proj.P01[c][r], bracket[r])
+                val = acc.total()
                 if val:
                     comp_terms[c][(a, b)] = val
     comps = tuple(ScalarForm(chart, comp_terms[c]) for c in range(dim))

@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from .algebra import GaussRational, PolyScalar
+from .algebra import GaussRational, PolyScalar, ProductSum
 
 if TYPE_CHECKING:
     from .chart import Chart
@@ -41,20 +41,30 @@ def _merge_sign(left: tuple, right: tuple):
     return tuple(merged), (1 if inversions % 2 == 0 else -1)
 
 
-def _accumulate(out: dict, triples) -> dict:
-    """Add each (index key, sign 1 or -1, coefficient) into out; zeros and cancelled keys drop out."""
-    for key, sign, coeff in triples:
-        if not coeff:
-            continue
-        acc = out.get(key)
+def _accumulate(out: dict, items) -> dict:
+    """Add sign * f * g for each (index key, sign 1 or -1, f, g) into out; g None stands for 1.
+
+    A key's first term f with g None is stored as it is; any further term opens
+    one ProductSum for the key, which multiplies products straight into its
+    sum.  Zero sums drop out.
+    """
+    sums = {}
+    for key, sign, f, g in items:
+        acc = sums.get(key)
         if acc is None:
-            out[key] = coeff if sign > 0 else -coeff
-            continue
-        acc = acc + coeff if sign > 0 else acc - coeff
-        if acc:
-            out[key] = acc
+            prior = out.get(key)
+            if prior is None and g is None:
+                if f:
+                    out[key] = f if sign > 0 else -f
+                continue
+            acc = sums[key] = ProductSum(f.num_vars, prior)
+        acc.add(sign, f, g)
+    for key, acc in sums.items():
+        total = acc.total()
+        if total:
+            out[key] = total
         else:
-            del out[key]
+            out.pop(key, None)
     return out
 
 
@@ -133,8 +143,8 @@ class ScalarForm:
 
     def _signed_add(self, other: "ScalarForm", sign: int) -> "ScalarForm":
         self._check_chart(other)
-        triples = ((key, sign, f) for key, f in other.terms.items())
-        return ScalarForm(self.chart, _accumulate(dict(self.terms), triples))
+        items = ((key, sign, f, None) for key, f in other.terms.items())
+        return ScalarForm(self.chart, _accumulate(dict(self.terms), items))
 
     def __add__(self, other: "ScalarForm") -> "ScalarForm":
         return self._signed_add(other, 1)
@@ -152,14 +162,8 @@ class ScalarForm:
         return ScalarForm(self.chart, {k: f.scale(value) for k, f in self.terms.items()})
 
     def mul_poly(self, poly: PolyScalar) -> "ScalarForm":
-        if poly.is_zero():
-            return ScalarForm(self.chart)
-        out = {}
-        for key, f in self.terms.items():
-            g = f * poly
-            if g:
-                out[key] = g
-        return ScalarForm(self.chart, out)
+        items = ((key, 1, f, poly) for key, f in self.terms.items())
+        return ScalarForm(self.chart, _accumulate({}, items))
 
     def conjugate(self) -> "ScalarForm":
         return ScalarForm(self.chart, {k: f.conjugate() for k, f in self.terms.items()})
@@ -173,17 +177,17 @@ class ScalarForm:
             for key_a, fa in self.terms.items()
             for key_b, fb in other.terms.items()
         )
-        triples = ((key, sign, fa * fb) for (key, sign), fa, fb in pairs if key is not None)
-        return ScalarForm(self.chart, _accumulate({}, triples))
+        items = ((key, sign, fa, fb) for (key, sign), fa, fb in pairs if key is not None)
+        return ScalarForm(self.chart, _accumulate({}, items))
 
     def exterior_d(self) -> "ScalarForm":
-        triples = (
-            (*_merge_sign((axis,), key), f.partial_derivative(axis))
+        items = (
+            (*_merge_sign((axis,), key), f.partial_derivative(axis), None)
             for key, f in self.terms.items()
             for axis in range(self.chart.dim)
             if axis not in key
         )
-        return ScalarForm(self.chart, _accumulate({}, triples))
+        return ScalarForm(self.chart, _accumulate({}, items))
 
     # -- comparison and display ---------------------------------------------
 
@@ -270,13 +274,13 @@ class VectorForm:
         mat = proj.P10 if side == "1,0" else proj.P01
         comps = []
         for row in mat:
-            triples = (
-                (key, 1, f * row[a])
+            items = (
+                (key, 1, f, row[a])
                 for a, comp in enumerate(self.comps)
                 if row[a]
                 for key, f in comp.terms.items()
             )
-            comps.append(ScalarForm(self.chart, _accumulate({}, triples)))
+            comps.append(ScalarForm(self.chart, _accumulate({}, items)))
         return VectorForm(self.chart, self.degree, comps)
 
     def __eq__(self, other):
@@ -372,9 +376,9 @@ def wedge(alpha: ScalarForm, beta: ScalarForm) -> ScalarForm:
 
 
 def _interior_terms(K: VectorForm, target: ScalarForm):
-    """One triple per (target term f dx^key, slot pos of key holding axis a, term g of kappa^a).
+    """One item per (target term f dx^key, slot pos of key holding axis a, term g of kappa^a).
 
-    Its coefficient is g * f and its sign (-1)^pos, from contracting slot pos,
+    Its factors are g and f, and its sign (-1)^pos, from contracting slot pos,
     times the sign of wedging g's index key in front of what is left.
     """
     for key, f in target.terms.items():
@@ -383,7 +387,7 @@ def _interior_terms(K: VectorForm, target: ScalarForm):
             for k_key, g in K.comps[axis].terms.items():
                 merged, sign = _merge_sign(k_key, reduced)
                 if merged is not None:
-                    yield merged, sign if pos % 2 == 0 else -sign, g * f
+                    yield merged, sign if pos % 2 == 0 else -sign, g, f
 
 
 def interior(K: VectorForm, target):
@@ -529,12 +533,12 @@ def bidegree_split_scalar(alpha: ScalarForm, p: int, q: int) -> ScalarForm:
     if alpha.degree() != p + q:
         raise ValueError(f"(p, q) = ({p}, {q}) does not match form degree {alpha.degree()}")
     chart = alpha.chart
-    triples = (
-        (key, 1, f * coeff)
+    items = (
+        (key, 1, f, coeff)
         for basis_key, coeff in alpha.terms.items()
         for key, f in _projected_basis_form(chart, basis_key, p).terms.items()
     )
-    return ScalarForm(chart, _accumulate({}, triples))
+    return ScalarForm(chart, _accumulate({}, items))
 
 
 def bidegree_split(form, p: int, q: int, value_side: str | None = None):

@@ -17,6 +17,7 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import factorial
 from typing import Callable, List, Sequence, Tuple
 
@@ -228,17 +229,38 @@ def lie_derivative(K: VectorForm, conn: Connection, flavor: str = "full") -> Der
     return DerivationOp(out.degree, out.action, f"{tag}_[{K.degree}-form]")
 
 
+def _require_nilpotent(phi: VectorForm, order: int):
+    """Raise NotNilpotentError unless (i_phi)^(order+1) kills every constant basis form dx^I.
+
+    i_phi is C^infinity-linear, so vanishing on the 2^dim forms dx^I is
+    vanishing on all forms.
+    """
+    chart = phi.chart
+    one = PolyScalar.one(chart.dim)
+    for degree in range(1, chart.dim + 1):
+        for key in combinations(range(chart.dim), degree):
+            power = ScalarForm(chart, {key: one})
+            for _ in range(order + 1):
+                power = interior(phi, power)
+                if power.is_zero():
+                    break
+            else:
+                raise NotNilpotentError(
+                    f"(i_phi)^{order + 1} does not vanish on the basis form of {key}"
+                )
+
+
 def exp_interior(phi: VectorForm) -> Tuple[DerivationOp, DerivationOp]:
     """(e^{i_phi}, e^{-i_phi}) for a form-degree-1 phi, truncated at the chart's
     nilpotency order n+1.
 
-    Exactness of the truncation needs (i_phi)^{n+1} = 0, which holds for the
-    pure-bidegree arguments of the conjugation formulas; the inverse property
-    is a tested invariant, not an assumption.
+    The truncation is exact only if (i_phi)^{n+1} = 0; that is certified here,
+    once per call, and NotNilpotentError is raised when it fails.
     """
     if phi.degree != 1:
         raise ValueError("exponential conjugation needs a form-degree-1 argument")
     order = phi.chart.n
+    _require_nilpotent(phi, order)
 
     def make(sign: int) -> Callable[[BundleForm], BundleForm]:
         def act(u: BundleForm) -> BundleForm:

@@ -2,9 +2,10 @@
 
 sympy shares no code with acderiv.algebra, so agreement on hypothesis-drawn
 operands (mixed denominators, Gaussian-rational coefficients, up to four
-variables) is an independent check of +, -, *, negation and scale.  Results
-are also compared structurally after rebuilding them from sympy's terms,
-which checks that every result is stored in canonical form.
+variables) is an independent check of +, -, *, negation and scale, and of
+ProductSum's signed sums of products.  Results are also compared
+structurally after rebuilding them from sympy's terms, which checks that
+every result is stored in canonical form.
 """
 
 from fractions import Fraction
@@ -19,7 +20,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from sympy import QQ, QQ_I  # noqa: E402
 from sympy.polys.rings import ring  # noqa: E402
 
-from acderiv.algebra import GaussRational, PolyScalar  # noqa: E402
+from acderiv.algebra import GaussRational, PolyScalar, ProductSum  # noqa: E402
 
 MAX_VARS = 4
 
@@ -34,6 +35,16 @@ def poly_pairs(draw):
     exps = st.tuples(*[st.integers(0, 3)] * num_vars)
     terms = st.dictionaries(exps, gauss, max_size=5)
     return num_vars, draw(terms), draw(terms)
+
+
+@st.composite
+def signed_product_lists(draw):
+    """1-6 (sign, f, g) triples in the same 1-4 variables; g is None for a bare term sign * f."""
+    num_vars = draw(st.integers(1, MAX_VARS))
+    exps = st.tuples(*[st.integers(0, 3)] * num_vars)
+    terms = st.dictionaries(exps, gauss, max_size=5)
+    triple = st.tuples(st.sampled_from([1, -1]), terms, st.none() | terms)
+    return num_vars, draw(st.lists(triple, min_size=1, max_size=6))
 
 
 def build(num_vars: int, terms: dict) -> PolyScalar:
@@ -83,3 +94,24 @@ def test_ring_operations_match_sympy(pair, c):
     assert_matches(num_vars, p * q, sp * sq)
     assert_matches(num_vars, -p, -sp)
     assert_matches(num_vars, p.scale(c), sp.mul_ground(to_qq_i(c)))
+
+
+@settings(database=None, derandomize=True, deadline=None, max_examples=150)
+@given(signed_product_lists())
+def test_product_sum_matches_sympy(drawn):
+    num_vars, triples = drawn
+    sign, terms_f, terms_g = triples[0]
+    triples.append((-sign, terms_f, terms_g))  # one exact cancellation in every sum
+    ring_, *_ = ring([f"x{i}" for i in range(num_vars)], QQ_I)
+    acc = ProductSum(num_vars)
+    expected = ring_.zero
+    for sign, terms_f, terms_g in triples:
+        f = build(num_vars, terms_f)
+        if terms_g is None:
+            acc.add(sign, f)
+            expected += to_sympy(ring_, f) * sign
+        else:
+            g = build(num_vars, terms_g)
+            acc.add(sign, f, g)
+            expected += to_sympy(ring_, f) * to_sympy(ring_, g) * sign
+    assert_matches(num_vars, acc.total(), expected)

@@ -51,6 +51,7 @@ from acderiv.operators import (
     random_strict_upper,
 )
 from acderiv.algebra import GaussRational, PolyScalar
+from acderiv.verifier import IdentityCheck, _CheckContext
 
 
 def ops_equal(lhs, rhs, chart, rank):
@@ -310,6 +311,21 @@ def test_exp_inverse_property(twisted2):
 def test_exp_rejects_wrong_degree(twisted2):
     with pytest.raises(ValueError):
         exp_interior(random_vector_form(twisted2, 2, 1, "exp-bad"))
+
+
+def test_exp_rejects_non_nilpotent_argument(twisted2):
+    # i_I counts form degree, so no power of it vanishes: the series must not truncate silently
+    with pytest.raises(NotNilpotentError):
+        exp_interior(identity_vector_form(twisted2))
+
+
+@pytest.mark.parametrize("chart", ["standard:2", "twisted:2"])
+def test_exp_certifies_theorem_38_inputs(chart):
+    ctx = _CheckContext(IdentityCheck(id="T3.8.6", chart=chart, seed=7))
+    phi = ctx.phi()
+    psibar = conjugate_form(ctx.psi())
+    for form in (phi, psibar):
+        exp_interior(form)  # raises NotNilpotentError unless (i_form)^{n+1} = 0
 
 
 def test_conjugate_by_zero_is_identity(twisted2):
