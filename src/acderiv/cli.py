@@ -1,7 +1,8 @@
 """Command-line front door: configure a suite run, execute it, write a JSON report.
 
 Exit codes: 0 when every selected check passes (skips are fine), 1 when any
-identity fails, 2 on usage or configuration errors.
+identity fails, 2 on usage or configuration errors, 3 when any check errored
+(its builder raised an unexpected exception; the other checks still report).
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .verifier import (
 )
 
 USAGE_ERROR = 2
+CHECK_ERROR = 3
 
 
 @dataclass
@@ -140,11 +142,11 @@ def _validate(config: RunConfig):
 
 def report_to_dict(report: IdentityReport) -> dict:
     out: dict = {"id": report.id, "chart": report.chart}
-    if report.status == "skip":
-        out["skip"] = True
-        out["reason"] = report.reason
-    else:
+    if report.status != "skip":
         out["pass"] = report.status == "pass"
+    if report.status in ("skip", "error"):
+        out[report.status] = True
+        out["reason"] = report.reason
     out["seeds"] = dict(sorted(report.seeds.items()))
     if report.worst_residual is not None:
         out["worst_residual"] = f"on {report.worst_generator}: {report.worst_residual}"
@@ -176,11 +178,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    try:
-        reports, summary = run_suite(config)
-    except KeyError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    reports, summary = run_suite(config)
     text = render_report(config, reports, summary)
     if config.out:
         with open(config.out, "w", encoding="utf-8") as handle:
@@ -188,10 +186,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     else:
         print(text)
     for report in reports:
-        marker = {"pass": "PASS", "fail": "FAIL", "skip": "SKIP"}[report.status]
-        extra = f" ({report.reason})" if report.status == "skip" else ""
-        print(f"[{marker}] {report.id} on {report.chart}{extra}", file=sys.stderr)
-    return 1 if summary["fail"] else 0
+        extra = f" ({report.reason})" if report.status in ("skip", "error") else ""
+        print(f"[{report.status.upper()}] {report.id} on {report.chart}{extra}", file=sys.stderr)
+    statuses = {report.status for report in reports}
+    return CHECK_ERROR if "error" in statuses else 1 if "fail" in statuses else 0
 
 
 def entrypoint():

@@ -229,6 +229,33 @@ def lie_derivative(K: VectorForm, conn: Connection, flavor: str = "full") -> Der
     return DerivationOp(out.degree, out.action, f"{tag}_[{K.degree}-form]")
 
 
+def series(x, step, count: int, shift: int = 0):
+    """sum_{j<=count} step^j(x) / (j + shift)!, stopping at the first zero term.
+
+    The one finite expansion behind the exponentials, the Theorem 3.8 bracket
+    sums and the matrix closed forms.  Stopping early is exact because every
+    step in use is linear, so step^j(x) = 0 kills all later terms.
+    """
+    out = x.scale(Fraction(1, factorial(shift))) if shift else x
+    power = x
+    for j in range(1, count + 1):
+        power = step(power)
+        if power.is_zero():
+            break
+        out = out + power.scale(Fraction(1, factorial(j + shift)))
+    return out
+
+
+def vanishing_order(x, step, bound: int):
+    """The least k <= bound with step^k(x) = 0, or None."""
+    power = x
+    for k in range(bound):
+        if power.is_zero():
+            return k
+        power = step(power)
+    return bound if power.is_zero() else None
+
+
 def _require_nilpotent(phi: VectorForm, order: int):
     """Raise NotNilpotentError unless (i_phi)^(order+1) kills every constant basis form dx^I.
 
@@ -237,14 +264,10 @@ def _require_nilpotent(phi: VectorForm, order: int):
     """
     chart = phi.chart
     one = PolyScalar.one(chart.dim)
+    step = interior_op(phi).action
     for degree in range(1, chart.dim + 1):
         for key in combinations(range(chart.dim), degree):
-            power = ScalarForm(chart, {key: one})
-            for _ in range(order + 1):
-                power = interior(phi, power)
-                if power.is_zero():
-                    break
-            else:
+            if vanishing_order(ScalarForm(chart, {key: one}), step, order + 1) is None:
                 raise NotNilpotentError(
                     f"(i_phi)^{order + 1} does not vanish on the basis form of {key}"
                 )
@@ -262,23 +285,11 @@ def exp_interior(phi: VectorForm) -> Tuple[DerivationOp, DerivationOp]:
     order = phi.chart.n
     _require_nilpotent(phi, order)
 
-    def make(sign: int) -> Callable[[BundleForm], BundleForm]:
-        def act(u: BundleForm) -> BundleForm:
-            out = u
-            term = u
-            for k in range(1, order + 1):
-                term = interior(phi, term).scale(Fraction(sign, k))
-                if term.is_zero():
-                    break
-                out = out + term
-            return out
+    def exp_op(K: VectorForm, tag: str) -> DerivationOp:
+        step = interior_op(K).action
+        return DerivationOp(0, lambda u: series(u, step, order), tag)
 
-        return act
-
-    return (
-        DerivationOp(0, make(1), "e^{i_φ}"),
-        DerivationOp(0, make(-1), "e^{-i_φ}"),
-    )
+    return exp_op(phi, "e^{i_φ}"), exp_op(-phi, "e^{-i_φ}")
 
 
 def conjugate_operator(op: DerivationOp, phi: VectorForm) -> DerivationOp:
@@ -522,23 +533,15 @@ class AlgebraElement:
 
 def nilpotency_index(x: AlgebraElement) -> int:
     """Least N >= 1 with x^N = 0; raises NotNilpotentError past the dimension bound."""
-    power = x
-    for n in range(1, x.dim + 1):
-        if power.is_zero():
-            return n
-        power = power * x
-    raise NotNilpotentError("element is not nilpotent within the dimension bound")
+    order = vanishing_order(x, lambda power: power * x, x.dim - 1)
+    if order is None:
+        raise NotNilpotentError("element is not nilpotent within the dimension bound")
+    return order + 1
 
 
 def matrix_exp_nilpotent(x: AlgebraElement) -> AlgebraElement:
     """Finite exponential series of a nilpotent matrix; exact."""
-    index = nilpotency_index(x)
-    out = AlgebraElement.identity(x.dim)
-    term = AlgebraElement.identity(x.dim)
-    for k in range(1, index):
-        term = (term * x).scale(Fraction(1, k))
-        out = out + term
-    return out
+    return series(AlgebraElement.identity(x.dim), lambda power: power * x, nilpotency_index(x) - 1)
 
 
 def algebra_iterated_bracket(
@@ -559,25 +562,24 @@ def commutable_degree(x: AlgebraElement, y: AlgebraElement) -> int:
     For nilpotent y the bound always suffices (ad_y is nilpotent of order
     at most 2*dim - 1); exceeding it is an error, not an infinite loop.
     """
-    x._check(y)
-    bracket = x
-    for k in range(1, 2 * x.dim):
-        bracket = bracket.commutator(y)
-        if bracket.is_zero():
-            return k
-    raise NotNilpotentError("no commutable degree within the 2*dim - 1 bound")
+
+    def ad_y(bracket):
+        return bracket.commutator(y)
+
+    k = vanishing_order(ad_y(x), ad_y, 2 * x.dim - 2)
+    if k is None:
+        raise NotNilpotentError("no commutable degree within the 2*dim - 1 bound")
+    return k + 1
 
 
 def conjugation_closed_form(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-    """sum_{i < k} [x, y]^{(i)} / i! for k-commutable x; equals e^{-y} x e^{y}."""
+    """sum_{i < k} [x, y]^{(i)} / i! for k-commutable x; equals e^{-y} x e^{y}.
+
+    For nilpotent y, (ad_y)^(2*dim - 1) = 0, so the series stops at the
+    commutable degree by itself.
+    """
     nilpotency_index(y)
-    k = commutable_degree(x, y)
-    out = AlgebraElement.zero(x.dim)
-    bracket = x
-    for i in range(k):
-        out = out + bracket.scale(Fraction(1, factorial(i)))
-        bracket = bracket.commutator(y)
-    return out
+    return series(x, lambda bracket: bracket.commutator(y), 2 * x.dim - 1)
 
 
 def conjugate_by_exponential(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
@@ -594,10 +596,7 @@ def conjugated_exponential(x: AlgebraElement, y: AlgebraElement) -> AlgebraEleme
     n = nilpotency_index(x)
     nilpotency_index(y)
     z = conjugation_closed_form(x, y)
-    power = z
-    for _ in range(n - 1):
-        power = power * z
-    if not power.is_zero():
+    if vanishing_order(z, lambda power: power * z, n - 1) is None:
         raise NotNilpotentError("transported element does not inherit the nilpotency bound")
     return matrix_exp_nilpotent(z)
 

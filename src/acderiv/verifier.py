@@ -17,7 +17,6 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from math import factorial
 from typing import Callable, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from .algebra import GaussRational
@@ -40,6 +39,7 @@ from .operators import (
     Connection,
     DerivationOp,
     NotNilpotentError,
+    _extract_vector_from_covector_action,
     commutable_degree,
     conjugate_by_exponential,
     conjugate_operator,
@@ -59,6 +59,7 @@ from .operators import (
     random_matrix,
     random_strict_upper,
     refined_decompose,
+    series,
 )
 
 if TYPE_CHECKING:
@@ -79,11 +80,14 @@ class IdentityCheck:
         return f"{self.seed}|{self.id}|{role}"
 
 
+STATUSES = ("pass", "fail", "skip", "error")
+
+
 @dataclass
 class IdentityReport:
     id: str
     chart: str
-    status: str  # "pass" | "fail" | "skip"
+    status: str  # one of STATUSES; "error" is an unexpected exception in the builder
     seeds: dict = field(default_factory=dict)
     reason: Optional[str] = None
     worst_generator: Optional[str] = None
@@ -119,26 +123,21 @@ class _CheckContext:
         self.chart = parse_chart_name(spec.chart)
         self.seeds = {"master": str(spec.seed)}
 
+    def seed(self, role: str) -> str:
+        """The sub-seed for role, recorded in the report."""
+        self.seeds[role] = self.spec.sub_seed(role)
+        return self.seeds[role]
+
     def connection(self, rank: int | None = None) -> Connection:
-        seed = self.spec.sub_seed("conn")
-        self.seeds["conn"] = seed
-        return random_connection(self.chart, rank or self.spec.rank, self.spec.degree, seed)
+        return random_connection(self.chart, rank or self.spec.rank, self.spec.degree, self.seed("conn"))
 
-    def phi(self) -> VectorForm:
-        seed = self.spec.sub_seed("phi")
-        self.seeds["phi"] = seed
-        return random_form(self.chart, (0, 1), "1,0", self.spec.degree, seed)
-
-    def psi(self) -> VectorForm:
-        seed = self.spec.sub_seed("psi")
-        self.seeds["psi"] = seed
-        return random_form(self.chart, (0, 1), "1,0", self.spec.degree, seed)
+    def form(self, role: str) -> VectorForm:
+        """A seeded random (0,1)-form valued in T^{1,0}; role is "phi" or "psi"."""
+        return random_form(self.chart, (0, 1), "1,0", self.spec.degree, self.seed(role))
 
     def family(self, rank: int | None = None):
         rank = rank or self.spec.rank
-        seed = self.spec.sub_seed("batch")
-        self.seeds["batch"] = seed
-        rng = random.Random(seed)
+        rng = random.Random(self.seed("batch"))
         members = list(generator_family(self.chart, rank))
         for degree in range(self.chart.dim + 1):
             members.append(
@@ -159,17 +158,9 @@ def _worst(bad: Sequence[Tuple[str, BundleForm]]) -> Tuple[str, str]:
 
 
 def _nr_sum(base: VectorForm, arg: VectorForm, count: int, shift: int) -> VectorForm:
-    """sum_{j=0}^{count} [base, arg]^{wedge(j)} / (j + shift)!
-
-    The finite-commutability expansion behind every Theorem 3.8 formula; each
-    iterated bracket is built from the previous one.
-    """
-    out = base.scale(Fraction(1, factorial(shift)))
-    bracket = base
-    for j in range(1, count + 1):
-        bracket = nr_bracket(bracket, arg)
-        out = out + bracket.scale(Fraction(1, factorial(j + shift)))
-    return out
+    """sum_{j=0}^{count} [base, arg]^{wedge(j)} / (j + shift)!, the finite-commutability
+    expansion behind every Theorem 3.8 formula."""
+    return series(base, lambda bracket: nr_bracket(bracket, arg), count, shift)
 
 
 def _closed_form_1(phi: VectorForm, quad: Fraction = Fraction(1, 2)) -> VectorForm:
@@ -212,7 +203,7 @@ class CheckSkipped(Exception):
 
 def _check_T381(ctx: _CheckContext, corrupt: bool = False):
     conn = ctx.connection()
-    phi = ctx.phi()
+    phi = ctx.form("phi")
     fam = ctx.family()
     nab = nabla(conn)
     lhs = conjugate_operator(nab, phi)
@@ -223,7 +214,7 @@ def _check_T381(ctx: _CheckContext, corrupt: bool = False):
 
 def _check_T382(ctx: _CheckContext):
     conn = ctx.connection()
-    phi = ctx.phi()
+    phi = ctx.form("phi")
     fam = ctx.family()
     n10, n01, _, _ = connection_split(conn)
     ff = fn_bracket(phi, phi)
@@ -240,7 +231,7 @@ def _check_T382(ctx: _CheckContext):
 
 def _check_T383(ctx: _CheckContext):
     conn = ctx.connection()
-    phi = ctx.phi()
+    phi = ctx.form("phi")
     fam = ctx.family()
     theta = ctx.chart.torsion()
     theta_bar = conjugate_form(theta)
@@ -257,8 +248,8 @@ def _check_T383(ctx: _CheckContext):
 
 def _check_T384(ctx: _CheckContext):
     ctx.connection()  # keep seed provenance aligned across the T3.8 suite
-    phi = ctx.phi()
-    psibar = conjugate_form(ctx.psi())
+    phi = ctx.form("phi")
+    psibar = conjugate_form(ctx.form("psi"))
     fam = ctx.family()
     lhs1 = conjugate_operator(interior_op(phi), psibar)
     # The transported form carries 1/j! on the j-th iterated bracket, exactly
@@ -275,8 +266,8 @@ def _check_T384(ctx: _CheckContext):
 
 def _check_T385(ctx: _CheckContext):
     conn = ctx.connection()
-    phi = ctx.phi()
-    psibar = conjugate_form(ctx.psi())
+    phi = ctx.form("phi")
+    psibar = conjugate_form(ctx.form("psi"))
     fam = ctx.family()
     lhs = conjugate_operator(lie_derivative(phi, conn), psibar)
     K, M = _closed_form_5(phi, psibar)
@@ -286,8 +277,8 @@ def _check_T385(ctx: _CheckContext):
 
 def _check_T386(ctx: _CheckContext):
     conn = ctx.connection()
-    phi = ctx.phi()
-    psibar = conjugate_form(ctx.psi())
+    phi = ctx.form("phi")
+    psibar = conjugate_form(ctx.form("psi"))
     fam = ctx.family()
     nab = nabla(conn)
     M1 = _closed_form_1(phi)
@@ -310,8 +301,8 @@ def _check_T386(ctx: _CheckContext):
 
 def _check_L371(ctx: _CheckContext):
     conn = ctx.connection()
-    phi = ctx.phi()
-    psi = ctx.psi()
+    phi = ctx.form("phi")
+    psi = ctx.form("psi")
     fam = ctx.family()
     lhs = graded_commutator(lie_derivative(phi, conn, "1,0"), interior_op(psi))
     rhs = interior_op(bidegree_split(fn_bracket(phi, psi), 0, 2, "1,0"))
@@ -320,8 +311,8 @@ def _check_L371(ctx: _CheckContext):
 
 def _check_L372(ctx: _CheckContext):
     conn = ctx.connection()
-    phi = ctx.phi()
-    psi = ctx.psi()
+    phi = ctx.form("phi")
+    psi = ctx.form("psi")
     fam = ctx.family()
     lhs = graded_commutator(lie_derivative(phi, conn, "0,1"), interior_op(psi))
     zero = DerivationOp(lhs.degree, lambda u: BundleForm.zero(u.chart, u.rank), "0")
@@ -329,8 +320,8 @@ def _check_L372(ctx: _CheckContext):
 
 
 def _check_L373(ctx: _CheckContext):
-    phi = ctx.phi()
-    psi = ctx.psi()
+    phi = ctx.form("phi")
+    psi = ctx.form("psi")
     theta = ctx.chart.torsion()
     lhs = -nr_bracket(nr_bracket(phi, theta), psi)
     bracket = fn_bracket(phi, psi)
@@ -355,11 +346,7 @@ def _check_EX31(ctx: _CheckContext):
     # cross-validation: torsion extracted from the d-splitting equals the
     # frame-computed torsion form
     remainder = n10 + n01 - d_op  # algebraic, equals i_theta + i_thetabar
-    comps = []
-    for a in range(chart.dim):
-        dxa = BundleForm.from_scalar(ScalarForm.basis_covector(chart, a), 1, 0)
-        comps.append(remainder.action(dxa).comps[0])
-    extracted = VectorForm(chart, 2, comps)
+    extracted = _extract_vector_from_covector_action(remainder, scalar_conn, 2)
     theta_extracted = bidegree_split(extracted, 2, 0, "0,1")
     cross = theta_extracted - chart.torsion()
     res_cross = [] if cross.is_zero() else [("extracted-theta", cross)]
@@ -381,10 +368,8 @@ def _check_EQ24(ctx: _CheckContext):
     out = []
     for k in (1, 2):
         for l_form in (1, 2):
-            K = random_vector_form(ctx.chart, k, 1, ctx.spec.sub_seed(f"K{k}{l_form}"))
-            L = random_vector_form(ctx.chart, l_form, 1, ctx.spec.sub_seed(f"L{k}{l_form}"))
-            ctx.seeds[f"K{k}{l_form}"] = ctx.spec.sub_seed(f"K{k}{l_form}")
-            ctx.seeds[f"L{k}{l_form}"] = ctx.spec.sub_seed(f"L{k}{l_form}")
+            K = random_vector_form(ctx.chart, k, 1, ctx.seed(f"K{k}{l_form}"))
+            L = random_vector_form(ctx.chart, l_form, 1, ctx.seed(f"L{k}{l_form}"))
             l = l_form - 1
             lhs = graded_commutator(lie_derivative(K, conn), interior_op(L))
             sign = 1 if (k * l) % 2 == 0 else -1
@@ -394,8 +379,8 @@ def _check_EQ24(ctx: _CheckContext):
 
 
 def _check_EQ23(ctx: _CheckContext):
-    phi = ctx.phi()
-    psi = ctx.psi()
+    phi = ctx.form("phi")
+    psi = ctx.form("psi")
     bracket = fn_bracket(phi, psi)
     listed = (
         bidegree_split(bracket, 0, 2, "1,0")
@@ -421,7 +406,7 @@ def _check_R310(ctx: _CheckContext):
             "z^j = x_{2j-1} + i x_{2j}"
         )
     chart = ctx.chart
-    phi = ctx.phi()
+    phi = ctx.form("phi")
     conn = Connection.trivial(chart, 1)
     fam = ctx.family(rank=1)
     lhs = lie_derivative(phi, conn, "0,1")
@@ -441,8 +426,7 @@ def _check_R310(ctx: _CheckContext):
 
 
 def _check_L36_matrix(ctx: _CheckContext):
-    seed = ctx.spec.sub_seed("matrix")
-    ctx.seeds["matrix"] = seed
+    seed = ctx.seed("matrix")
     failures = []
     for trial in range(100):
         rng = random.Random(f"{seed}|{trial}")
@@ -458,8 +442,7 @@ def _check_L36_matrix(ctx: _CheckContext):
 
 
 def _check_P312(ctx: _CheckContext):
-    seed = ctx.spec.sub_seed("matrix")
-    ctx.seeds["matrix"] = seed
+    seed = ctx.seed("matrix")
     failures = []
     for trial in range(100):
         rng = random.Random(f"{seed}|{trial}")
@@ -481,7 +464,7 @@ def _check_P312(ctx: _CheckContext):
 
 def _check_P33(ctx: _CheckContext):
     chart = ctx.chart
-    phi = ctx.phi()
+    phi = ctx.form("phi")
     scalar_conn = Connection.trivial(chart, 1)
     conn = ctx.connection()
     n10, n01, _, _ = connection_split(scalar_conn)
@@ -503,7 +486,7 @@ def _check_P33(ctx: _CheckContext):
 
 def _check_NILP(ctx: _CheckContext):
     chart = ctx.chart
-    phi = ctx.phi()
+    phi = ctx.form("phi")
     fam = ctx.family()
     failures = []
     # (i_phi)^{n+1} = 0 on the family and on random forms of every degree
@@ -569,59 +552,44 @@ def check_identity(spec: IdentityCheck) -> IdentityReport:
     _, _, builder = _REGISTRY_BY_ID[spec.id]
     started = time.perf_counter()
     ctx = _CheckContext(spec)
+    reason = None
     try:
-        groups = builder(ctx)
+        status, worst = _verdict(builder(ctx))
     except CheckSkipped as skip:
-        return IdentityReport(
-            id=spec.id,
-            chart=spec.chart,
-            status="skip",
-            reason=skip.reason,
-            seeds=dict(ctx.seeds),
-            millis=(time.perf_counter() - started) * 1000.0,
-        )
+        status, reason, worst = "skip", skip.reason, (None, None)
     except (ValueError, ArithmeticError) as exc:
         # construction errors surface as distinct failures, never silent passes
-        return IdentityReport(
-            id=spec.id,
-            chart=spec.chart,
-            status="fail",
-            reason=f"construction error: {exc}",
-            seeds=dict(ctx.seeds),
-            worst_generator="(construction)",
-            worst_residual=str(exc),
-            millis=(time.perf_counter() - started) * 1000.0,
-        )
+        status, reason, worst = "fail", f"construction error: {exc}", ("(construction)", str(exc))
+    except Exception as exc:
+        # a bug in one builder is reported as such and the other checks still run
+        status, reason, worst = "error", f"{type(exc).__name__}: {exc}", (None, None)
+    return IdentityReport(
+        id=spec.id,
+        chart=spec.chart,
+        status=status,
+        seeds=dict(ctx.seeds),
+        reason=reason,
+        worst_generator=worst[0],
+        worst_residual=worst[1],
+        millis=(time.perf_counter() - started) * 1000.0,
+    )
+
+
+def _verdict(groups) -> Tuple[str, Tuple[Optional[str], Optional[str]]]:
+    """("pass", (None, None)) when every residual list is empty, else "fail" and the worst offender."""
     bad: List[Tuple[str, object]] = []
     for group_label, residuals in groups:
         for item_label, residual in residuals:
             bad.append((f"{group_label}/{item_label}", residual))
-    millis = (time.perf_counter() - started) * 1000.0
     if not bad:
-        return IdentityReport(
-            id=spec.id, chart=spec.chart, status="pass", seeds=dict(ctx.seeds), millis=millis
-        )
+        return "pass", (None, None)
     if all(isinstance(res, BundleForm) for _, res in bad):
-        label, text = _worst(bad)  # type: ignore[arg-type]
-    else:
-        label, text = bad[0][0], str(bad[0][1])
-    return IdentityReport(
-        id=spec.id,
-        chart=spec.chart,
-        status="fail",
-        seeds=dict(ctx.seeds),
-        worst_generator=label,
-        worst_residual=text,
-        millis=millis,
-    )
+        return "fail", _worst(bad)  # type: ignore[arg-type]
+    return "fail", (bad[0][0], str(bad[0][1]))
 
 
 def run_suite(config: "RunConfig") -> Tuple[List[IdentityReport], dict]:
-    """Run the selected registry subset; deterministic given seeds.
-
-    Reports come back in registry order regardless of execution order, so
-    parallel fan-out cannot perturb the output.
-    """
+    """Run the selected registry subset, reports in the order of the ids; deterministic given seeds."""
     ids = list(config.ids) if config.ids else list(REGISTRY_IDS)
     for cid in ids:
         if cid not in _REGISTRY_BY_ID:
@@ -643,11 +611,5 @@ def run_suite(config: "RunConfig") -> Tuple[List[IdentityReport], dict]:
             reports = list(pool.map(check_identity, specs))
     else:
         reports = [check_identity(spec) for spec in specs]
-    order = {cid: i for i, cid in enumerate(ids)}
-    reports.sort(key=lambda r: order[r.id])
-    summary = {
-        "pass": sum(1 for r in reports if r.status == "pass"),
-        "fail": sum(1 for r in reports if r.status == "fail"),
-        "skip": sum(1 for r in reports if r.status == "skip"),
-    }
+    summary = {status: sum(r.status == status for r in reports) for status in STATUSES}
     return reports, summary

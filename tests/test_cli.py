@@ -2,7 +2,9 @@
 
 import json
 
-from acderiv import cli
+import pytest
+
+from acderiv import cli, verifier
 from acderiv.verifier import REGISTRY_IDS, IdentityReport
 
 FAST_IDS = "EQ2.3,L3.7.3,R3.10,NEG-T3.8.1"
@@ -36,7 +38,7 @@ def test_end_to_end_report(tmp_path):
         assert ("pass" in r) != ("skip" in r)
         if "skip" in r:
             assert r["reason"]
-    assert doc["summary"] == {"pass": 3, "fail": 0, "skip": 1}
+    assert doc["summary"] == {"pass": 3, "fail": 0, "skip": 1, "error": 0}
 
 
 def test_rerun_reproduces_pass_fail_vector(tmp_path):
@@ -128,3 +130,23 @@ def test_parallel_flag_matches_serial(tmp_path):
         {k: v for k, v in r.items() if k != "millis"} for r in doc["reports"]
     ]
     assert strip(doc_s) == strip(doc_p)
+
+
+@pytest.mark.parametrize("exc", [KeyError("missing"), IndexError("list index out of range")])
+def test_builder_bug_is_an_error_and_the_other_checks_still_report(monkeypatch, tmp_path, exc):
+    def broken(ctx):
+        raise exc
+
+    monkeypatch.setitem(verifier._REGISTRY_BY_ID, "EQ2.3", ("EQ2.3", "broken", broken))
+    out = tmp_path / "r.json"
+    code = run_cli(
+        ["--chart", "standard:1", "--rank", "1", "--ids", "EQ2.3,L3.7.3,NEG-T3.8.1", "--out", str(out)]
+    )
+    assert code == cli.CHECK_ERROR == 3
+    doc = json.loads(out.read_text())
+    errored, passed, skipped = doc["reports"]
+    assert errored["error"] is True and errored["pass"] is False
+    assert errored["reason"] == f"{type(exc).__name__}: {exc}"
+    assert passed["id"] == "L3.7.3" and passed["pass"] is True
+    assert skipped["id"] == "NEG-T3.8.1" and skipped["skip"] is True
+    assert doc["summary"] == {"pass": 1, "fail": 0, "skip": 1, "error": 1}

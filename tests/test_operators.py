@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -49,6 +50,8 @@ from acderiv.operators import (
     random_connection,
     random_matrix,
     random_strict_upper,
+    series,
+    vanishing_order,
 )
 from acderiv.algebra import GaussRational, PolyScalar
 from acderiv.verifier import IdentityCheck, _CheckContext
@@ -322,8 +325,8 @@ def test_exp_rejects_non_nilpotent_argument(twisted2):
 @pytest.mark.parametrize("chart", ["standard:2", "twisted:2"])
 def test_exp_certifies_theorem_38_inputs(chart):
     ctx = _CheckContext(IdentityCheck(id="T3.8.6", chart=chart, seed=7))
-    phi = ctx.phi()
-    psibar = conjugate_form(ctx.psi())
+    phi = ctx.form("phi")
+    psibar = conjugate_form(ctx.form("psi"))
     for form in (phi, psibar):
         exp_interior(form)  # raises NotNilpotentError unless (i_form)^{n+1} = 0
 
@@ -520,3 +523,43 @@ def test_transported_element_nilpotency():
 def test_conjugated_exponential_rejects_non_nilpotent():
     with pytest.raises(NotNilpotentError):
         conjugated_exponential(AlgebraElement.identity(2), AlgebraElement.zero(2))
+
+
+# -- the finite series and the vanishing-order search ---------------------------------
+
+
+@pytest.mark.parametrize("shift", [0, 1, 2])
+def test_series_matches_explicit_bracket_sums(shift):
+    rng = random.Random(f"series-{shift}")
+    x = random_matrix(4, rng)
+    y = random_strict_upper(4, rng)
+    for count in range(8):
+        expected = AlgebraElement.zero(4)
+        for i in range(count + 1):
+            term = algebra_iterated_bracket(x, y, i)
+            expected = expected + term.scale(Fraction(1, factorial(i + shift)))
+        assert series(x, lambda b: b.commutator(y), count, shift) == expected
+
+
+def test_series_stops_at_the_first_zero_term():
+    x = AlgebraElement.elementary(2, 0, 0)
+    y = AlgebraElement.elementary(2, 0, 1)  # [x, y] = y, [[x, y], y] = 0
+    steps = []
+
+    def ad_y(b):
+        steps.append(b)
+        return b.commutator(y)
+
+    assert series(x, ad_y, 10) == x + y
+    assert len(steps) == 2
+    assert series(x, ad_y, 10, 1) == x + y.scale(Fraction(1, 2))
+
+
+def test_vanishing_order_is_none_past_its_bound():
+    x = AlgebraElement.elementary(3, 0, 1) + AlgebraElement.elementary(3, 1, 2)
+    assert vanishing_order(x, lambda power: power * x, 1) is None  # x and x^2 are nonzero
+    assert vanishing_order(x, lambda power: power * x, 2) == 2
+    assert vanishing_order(x, lambda power: power * x, 5) == 2
+    assert vanishing_order(AlgebraElement.zero(3), lambda power: power * x, 0) == 0
+    ident = AlgebraElement.identity(3)
+    assert vanishing_order(ident, lambda power: power * ident, 5) is None

@@ -120,7 +120,20 @@ def test_run_suite_summary_counts():
 
     reports, summary = run_suite(Config())
     assert [r.id for r in reports] == ["EQ2.3", "R3.10", "NEG-T3.8.1"]
-    assert summary == {"pass": 2, "fail": 0, "skip": 1}
+    assert summary == {"pass": 2, "fail": 0, "skip": 1, "error": 0}
+
+
+def test_construction_error_is_a_failure_not_an_error(monkeypatch):
+    from acderiv import verifier
+
+    def broken(ctx):
+        raise ZeroDivisionError("bad input")
+
+    monkeypatch.setitem(verifier._REGISTRY_BY_ID, "EQ2.3", ("EQ2.3", "broken", broken))
+    report = check_identity(IdentityCheck(id="EQ2.3", chart="standard:1"))
+    assert report.status == "fail"
+    assert report.reason == "construction error: bad input"
+    assert (report.worst_generator, report.worst_residual) == ("(construction)", "bad input")
 
 
 def test_run_suite_rejects_unknown_id():
