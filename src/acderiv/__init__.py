@@ -39,6 +39,7 @@ from .operators import (
     algebra_iterated_bracket,
     commutable_degree,
     conjugate_operator,
+    conjugate_operators,
     conjugation_closed_form,
     conjugated_exponential,
     connection_split,
@@ -82,6 +83,7 @@ __all__ = [
     "lie_derivative",
     "exp_interior",
     "conjugate_operator",
+    "conjugate_operators",
     "decompose_derivation",
     "refined_decompose",
     "AlgebraElement",

@@ -101,6 +101,14 @@ def _parse_ids(value) -> Optional[List[str]]:
     return ids or None
 
 
+def _integer(values: dict, key: str) -> int:
+    """values[key] as given, if it is an integer (a config file may hold any JSON value)."""
+    value = values[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 def build_config(args: argparse.Namespace) -> RunConfig:
     values: dict = {}
     if args.config:
@@ -113,9 +121,9 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     if "chart" in values:
         config.chart = str(values["chart"])
     if "rank" in values:
-        config.rank = int(values["rank"])
+        config.rank = _integer(values, "rank")
     if "degree" in values:
-        config.degree = int(values["degree"])
+        config.degree = _integer(values, "degree")
     if "seed" in values:
         seed = values["seed"]
         config.seed = int(seed) if isinstance(seed, str) and seed.lstrip("-").isdigit() else seed
@@ -124,7 +132,9 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     if "out" in values and values["out"] is not None:
         config.out = str(values["out"])
     if "parallel" in values:
-        config.parallel = bool(values["parallel"])
+        if not isinstance(values["parallel"], bool):
+            raise ConfigError(f"parallel must be true or false, got {values['parallel']!r}")
+        config.parallel = values["parallel"]
     try:
         parse_chart_name(config.chart)
     except ValueError as exc:

@@ -292,15 +292,54 @@ def exp_interior(phi: VectorForm) -> Tuple[DerivationOp, DerivationOp]:
     return exp_op(phi, "e^{i_φ}"), exp_op(-phi, "e^{-i_φ}")
 
 
-def conjugate_operator(op: DerivationOp, phi: VectorForm) -> DerivationOp:
-    """e^{-i_phi} ∘ D ∘ e^{i_phi}, evaluated by the direct truncated series.
+def conjugate_operators(ops: Sequence[DerivationOp], phi: VectorForm) -> List[DerivationOp]:
+    """[e^{-i_phi} ∘ D ∘ e^{i_phi} for D in ops], evaluated by the direct truncated series.
 
     No closed form is used anywhere on this side; it is the brute-force oracle
     the bracket formulas are compared against.
+
+    The operators share one evaluation per input u: e^{i_phi} u once, every D
+    on it, and e^{-i_phi} once per distinct inner image (images that are
+    exactly equal give the same result).  State is kept for the most recent
+    input only, held by identity, and each image or result is dropped once
+    every operator that needs it has taken its result; so evaluate member by
+    member (residual_groups) for the sharing to take effect.
     """
     exp_plus, exp_minus = exp_interior(phi)
-    out = exp_minus.compose(op).compose(exp_plus)
-    return DerivationOp(op.degree, out.action, f"e⁻∘{op.tag}∘e⁺")
+    held_u, slots = None, {}  # op index -> [inner image or result, is result], shared by equal images
+
+    def result(u: BundleForm, k: int) -> BundleForm:
+        nonlocal held_u, slots
+        if held_u is not u or k not in slots:
+            held_u, slots = None, {}
+            inner = exp_plus.action(u)
+            distinct: List[list] = []
+            fresh = {}
+            for i, op in enumerate(ops):
+                image = op.action(inner)
+                slot = next((s for s in distinct if s[0] == image), None)
+                if slot is None:
+                    slot = [image, False]
+                    distinct.append(slot)
+                fresh[i] = slot
+            del inner, image  # e^{-i_phi} runs later: keep only the distinct images
+            held_u, slots = u, fresh
+        slot = slots.pop(k)
+        if not slot[1]:
+            slot[:] = exp_minus.action(slot[0]), True
+        if not slots:
+            held_u = None
+        return slot[0]
+
+    return [
+        DerivationOp(op.degree, lambda u, k=k: result(u, k), f"e⁻∘{op.tag}∘e⁺")
+        for k, op in enumerate(ops)
+    ]
+
+
+def conjugate_operator(op: DerivationOp, phi: VectorForm) -> DerivationOp:
+    """e^{-i_phi} ∘ D ∘ e^{i_phi}: the one-operator case of conjugate_operators."""
+    return conjugate_operators([op], phi)[0]
 
 
 # -- generator family and extensional residuals ---------------------------------
@@ -340,18 +379,41 @@ def generator_family(chart: Chart, rank: int) -> List[Tuple[str, BundleForm]]:
     return family
 
 
+def residual_groups(
+    groups: Sequence[Tuple[str, DerivationOp, DerivationOp]],
+    family: Sequence[Tuple[str, BundleForm]],
+) -> List[Tuple[str, List[Tuple[str, BundleForm]]]]:
+    """[(label, nonzero (lhs - rhs) applications over the family)] for each (label, lhs, rhs).
+
+    Evaluation runs member by member, and each distinct operator object is
+    applied once per member, so a right-hand side shared by several groups
+    runs once and operators from one conjugate_operators call share their
+    exponentials.  Residuals come in family order.
+    """
+    out = [(label, []) for label, _, _ in groups]
+    last_use = {id(op): g for g, (_, lhs, rhs) in enumerate(groups) for op in (lhs, rhs)}
+    for member, u in family:
+        images = {}  # id(op) -> op(u) until the op's last group; the groups keep every op alive
+        for g, ((_, lhs, rhs), (_, bad)) in enumerate(zip(groups, out)):
+            for op in (lhs, rhs):
+                if id(op) not in images:
+                    images[id(op)] = op.action(u)
+            res = images[id(lhs)] - images[id(rhs)]
+            for op in (lhs, rhs):
+                if last_use[id(op)] == g:
+                    images.pop(id(op), None)
+            if not res.is_zero():
+                bad.append((member, res))
+    return out
+
+
 def operator_residuals(
     lhs: DerivationOp,
     rhs: DerivationOp,
     family: Sequence[Tuple[str, BundleForm]],
 ) -> List[Tuple[str, BundleForm]]:
     """Nonzero (lhs - rhs) applications over the family; empty means equal."""
-    bad = []
-    for label, u in family:
-        res = lhs.action(u) - rhs.action(u)
-        if not res.is_zero():
-            bad.append((label, res))
-    return bad
+    return residual_groups([("", lhs, rhs)], family)[0][1]
 
 
 def _mul_bundle_poly(u: BundleForm, poly: PolyScalar) -> BundleForm:

@@ -43,6 +43,7 @@ from .operators import (
     commutable_degree,
     conjugate_by_exponential,
     conjugate_operator,
+    conjugate_operators,
     conjugation_closed_form,
     conjugated_exponential,
     connection_split,
@@ -59,6 +60,7 @@ from .operators import (
     random_matrix,
     random_strict_upper,
     refined_decompose,
+    residual_groups,
     series,
 )
 
@@ -192,8 +194,8 @@ def _closed_form_5(phi: VectorForm, psibar: VectorForm) -> Tuple[VectorForm, Vec
 # -- individual identity checks ---------------------------------------------------
 #
 # Each builder returns a list of (sub-identity label, residual list) pairs,
-# where a residual list is what operator_residuals produced (empty = pass),
-# or raises CheckSkipped to mark a principled skip.
+# where a residual list is what operator_residuals or residual_groups produced
+# (empty = pass), or raises CheckSkipped to mark a principled skip.
 
 
 class CheckSkipped(Exception):
@@ -219,14 +221,12 @@ def _check_T382(ctx: _CheckContext):
     n10, n01, _, _ = connection_split(conn)
     ff = fn_bracket(phi, phi)
     ff_0210 = bidegree_split(ff, 0, 2, "1,0")
-    lhs10 = conjugate_operator(n10, phi)
+    lhs10, lhs01 = conjugate_operators([n10, n01], phi)
     rhs10 = n10 - lie_derivative(phi, conn, "1,0") - interior_op(ff_0210.scale(Fraction(1, 2)))
-    lhs01 = conjugate_operator(n01, phi)
     rhs01 = n01 - lie_derivative(phi, conn, "0,1")
-    return [
-        ("(1,0)-part", operator_residuals(lhs10, rhs10, fam)),
-        ("(0,1)-part", operator_residuals(lhs01, rhs01, fam)),
-    ]
+    return residual_groups(
+        [("(1,0)-part", lhs10, rhs10), ("(0,1)-part", lhs01, rhs01)], fam
+    )
 
 
 def _check_T383(ctx: _CheckContext):
@@ -237,13 +237,11 @@ def _check_T383(ctx: _CheckContext):
     theta_bar = conjugate_form(theta)
     i_theta = interior_op(theta)
     i_theta_bar = interior_op(theta_bar)
-    lhs1 = conjugate_operator(i_theta, phi)
+    lhs1, lhs2 = conjugate_operators([i_theta, i_theta_bar], phi)
     rhs1 = interior_op(_nr_sum(theta, phi, 3, 0))
-    lhs2 = conjugate_operator(i_theta_bar, phi)
-    return [
-        ("torsion", operator_residuals(lhs1, rhs1, fam)),
-        ("conjugate-torsion", operator_residuals(lhs2, i_theta_bar, fam)),
-    ]
+    return residual_groups(
+        [("torsion", lhs1, rhs1), ("conjugate-torsion", lhs2, i_theta_bar)], fam
+    )
 
 
 def _check_T384(ctx: _CheckContext):
@@ -251,17 +249,15 @@ def _check_T384(ctx: _CheckContext):
     phi = ctx.form("phi")
     psibar = conjugate_form(ctx.form("psi"))
     fam = ctx.family()
-    lhs1 = conjugate_operator(interior_op(phi), psibar)
+    ff = fn_bracket(phi, phi)
+    lhs1, lhs2 = conjugate_operators([interior_op(phi), interior_op(ff)], psibar)
     # The transported form carries 1/j! on the j-th iterated bracket, exactly
     # as in the second identity of this group; [phi,psibar]^{wedge(3)} = 0.
     rhs1 = interior_op(_nr_sum(phi, psibar, 2, 0))
-    ff = fn_bracket(phi, phi)
-    lhs2 = conjugate_operator(interior_op(ff), psibar)
     rhs2 = interior_op(_nr_sum(ff, psibar, 3, 0))
-    return [
-        ("interior", operator_residuals(lhs1, rhs1, fam)),
-        ("interior-square-bracket", operator_residuals(lhs2, rhs2, fam)),
-    ]
+    return residual_groups(
+        [("interior", lhs1, rhs1), ("interior-square-bracket", lhs2, rhs2)], fam
+    )
 
 
 def _check_T385(ctx: _CheckContext):
@@ -291,12 +287,14 @@ def _check_T386(ctx: _CheckContext):
         - lie_derivative(psibar + K5, conn)
         - interior_op(_closed_form_1(psibar) + M5 + _nr_sum(M1, psibar, 3, 0))
     )
-    lhs_direct = conjugate_operator(conjugate_operator(nab, phi), psibar)
-    lhs_composed = conjugate_operator(closed1, psibar)
-    return [
-        ("direct", operator_residuals(lhs_direct, rhs, fam)),
-        ("via-(1)+(4)+(5)", operator_residuals(lhs_composed, rhs, fam)),
-    ]
+    # Both routes share e^{±i_psibar} per member: where T3.8.1 holds, their
+    # inner images are equal and e^{-i_psibar} runs once.
+    lhs_direct, lhs_composed = conjugate_operators(
+        [conjugate_operator(nab, phi), closed1], psibar
+    )
+    return residual_groups(
+        [("direct", lhs_direct, rhs), ("via-(1)+(4)+(5)", lhs_composed, rhs)], fam
+    )
 
 
 def _check_L371(ctx: _CheckContext):

@@ -101,6 +101,17 @@ def test_unknown_config_field_rejected(tmp_path):
     assert run_cli(["--config", str(config)]) == cli.USAGE_ERROR
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("rank", "two"), ("rank", 2.7), ("degree", "2"), ("degree", True), ("parallel", "false"), ("parallel", 1)],
+)
+def test_config_file_values_of_the_wrong_type_are_rejected(tmp_path, capsys, field, value):
+    config = tmp_path / "typed.json"
+    config.write_text(json.dumps({"chart": "standard:1", "ids": ["EQ2.3"], field: value}))
+    assert run_cli(["--config", str(config)]) == cli.USAGE_ERROR
+    assert field in capsys.readouterr().err
+
+
 def test_exit_code_one_on_failure(monkeypatch, tmp_path):
     failing = IdentityReport(
         id="EQ2.3", chart="standard:1", status="fail",

@@ -1,5 +1,6 @@
 """Derivation operators, connection splitting, exponential conjugation, matrix kit."""
 
+import dataclasses
 import random
 from fractions import Fraction
 from math import factorial
@@ -38,10 +39,12 @@ from acderiv.forms import (
     random_scalar_form,
     random_vector_form,
 )
+from acderiv import operators
 from acderiv.operators import (
     DecompositionError,
     NotNilpotentError,
     conjugate_by_exponential,
+    conjugate_operators,
     generator_family,
     interior_op,
     matrix_exp_nilpotent,
@@ -50,11 +53,12 @@ from acderiv.operators import (
     random_connection,
     random_matrix,
     random_strict_upper,
+    residual_groups,
     series,
     vanishing_order,
 )
 from acderiv.algebra import GaussRational, PolyScalar
-from acderiv.verifier import IdentityCheck, _CheckContext
+from acderiv.verifier import IdentityCheck, _CheckContext, _check_T386, _closed_form_1
 
 
 def ops_equal(lhs, rhs, chart, rank):
@@ -349,6 +353,85 @@ def test_conjugate_d_integrable_closed_form(std2):
     lhs = conjugate_operator(d_op, phi)
     rhs = d_op - lie_derivative(phi, conn) - interior_op(ff.scale(Fraction(1, 2)))
     assert ops_equal(lhs, rhs, std2, 1)
+
+
+def count_exponentials(monkeypatch, form):
+    """Record each input that e^{+i_form} and e^{-i_form} from exp_interior are applied to."""
+    applied = {"plus": [], "minus": []}
+    real = operators.exp_interior
+
+    def counted(op, inputs):
+        def action(u):
+            inputs.append(u)
+            return op.action(u)
+
+        return dataclasses.replace(op, action=action)
+
+    def exp_interior(phi):
+        exp_plus, exp_minus = real(phi)
+        if phi != form:
+            return exp_plus, exp_minus
+        return counted(exp_plus, applied["plus"]), counted(exp_minus, applied["minus"])
+
+    monkeypatch.setattr(operators, "exp_interior", exp_interior)
+    return applied
+
+
+def t386_inputs(chart, rank=2, degree=2):
+    """T3.8.6's seeded connection, phi and psibar, and its family."""
+    ctx = _CheckContext(IdentityCheck(id="T3.8.6", chart=chart, rank=rank, degree=degree, seed=7))
+    conn = ctx.connection()
+    phi = ctx.form("phi")
+    psibar = conjugate_form(ctx.form("psi"))
+    return conn, phi, psibar, ctx.family()
+
+
+def t381_rhs(conn, phi, quad=Fraction(1, 2)):
+    return nabla(conn) - lie_derivative(phi, conn) - interior_op(_closed_form_1(phi, quad))
+
+
+def test_joint_conjugation_equals_separate_conjugations(monkeypatch):
+    # degree 1 keeps standard:2 fast; there [phi, phi] != 0, so quad = 1 changes the image
+    conn, phi, psibar, _ = t386_inputs("standard:2", rank=1, degree=1)
+    fam = generator_family(phi.chart, 1)
+    ops = [conjugate_operator(nabla(conn), phi), t381_rhs(conn, phi), t381_rhs(conn, phi, Fraction(1))]
+    separate = [conjugate_operator(op, psibar) for op in ops]
+    applied = count_exponentials(monkeypatch, psibar)
+    joint = conjugate_operators(ops, psibar)
+    per_member = []
+    for _, u in fam:
+        before = len(applied["minus"])
+        assert [op(u) for op in joint] == [op(u) for op in separate]
+        per_member.append(len(applied["minus"]) - before)
+    assert len(applied["plus"]) == len(fam)
+    # equal inner images (T3.8.1 holds) share e^{-i_psibar}; the corrupted one does not
+    assert set(per_member) == {1, 2}
+
+
+def test_residual_groups_match_per_group_residuals():
+    conn, phi, _, fam = t386_inputs("twisted:2", rank=1, degree=1)
+    lhs = conjugate_operator(nabla(conn), phi)
+    applied = []
+    exact = t381_rhs(conn, phi)
+    shared = dataclasses.replace(exact, action=lambda u: applied.append(u) or exact.action(u))
+    groups = [
+        ("corrupted-T3.8.1", lhs, t381_rhs(conn, phi, Fraction(1))),
+        ("T3.8.1", lhs, shared),
+        ("shared-rhs", t381_rhs(conn, phi), shared),
+    ]
+    got = residual_groups(groups, fam)
+    assert len(applied) == len(fam), "a shared operator runs once per member"
+    assert got[0][1], "the corrupted group must fail"
+    assert got == [(label, operator_residuals(l, r, fam)) for label, l, r in groups]
+
+
+def test_T386_applies_the_outer_exponential_once_per_member(monkeypatch):
+    _, _, psibar, fam = t386_inputs("standard:1")
+    applied = count_exponentials(monkeypatch, psibar)
+    spec = IdentityCheck(id="T3.8.6", chart="standard:1", seed=7)
+    assert all(not residuals for _, residuals in _check_T386(_CheckContext(spec)))
+    assert applied["plus"] == [u for _, u in fam]
+    assert len(applied["minus"]) == len(fam)
 
 
 # -- decompositions ---------------------------------------------------------------------
