@@ -138,6 +138,9 @@ class GaussRational:
         return self.an == other.an and self.bn == other.bn and self.d == other.d
 
     def __hash__(self):
+        # equal to an int or Fraction exactly when real: hash as that number does
+        if not self.bn:
+            return hash(self.an) if self.d == 1 else hash(Fraction(self.an, self.d))
         return hash((self.an, self.bn, self.d))
 
     def __bool__(self):
@@ -172,6 +175,21 @@ _EXP_LIMIT = 1 << (_EXP_BITS - 1)
 def _guard_bits(num_vars: int) -> int:
     """The top bit of every exponent field; set in a code only after an overflow."""
     return sum(_EXP_LIMIT << (_EXP_BITS * i) for i in range(num_vars))
+
+
+def code_span(polys: Iterable["PolyScalar"]) -> int:
+    """OR of every exponent code of polys: each field is at least that variable's top exponent."""
+    return reduce(or_, (code for poly in polys for code in poly.terms), 0)
+
+
+def products_may_overflow(span_a: int, span_b: int, num_vars: int) -> bool:
+    """False only if no product of polynomials with code spans span_a and span_b overflows.
+
+    Stored fields stay below the guard bit, so adding two spans carries
+    between no fields, and each field of the sum bounds that exponent in
+    every such product.
+    """
+    return bool((span_a + span_b) & _guard_bits(num_vars))
 
 
 class PolyScalar:
@@ -407,7 +425,13 @@ class PolyScalar:
         )
 
     def __hash__(self):
-        return hash((self.num_vars, self.den, frozenset(self.terms.items())))
+        terms = self.terms
+        if not terms:
+            return hash(0)
+        if len(terms) == 1 and 0 in terms:  # a constant equals its coefficient
+            an, bn = terms[0]
+            return hash(GaussRational._raw(an, bn, self.den))
+        return hash((self.num_vars, self.den, frozenset(terms.items())))
 
     def __repr__(self):
         return f"PolyScalar({self.num_vars}, {self.terms_by_exponents()!r})"
@@ -435,7 +459,7 @@ class PolyScalar:
 
 
 class ProductSum:
-    """A running sum of signed polynomial products sign * f * g, and of bare terms sign * f.
+    """A running sum of signed products sign * f * g and of bare terms sign * f or value * f.
 
     The sum is one mutable numerator map over a running common denominator.
     Each product is multiplied straight into the map, with
@@ -461,9 +485,8 @@ class ProductSum:
             self.terms = dict(start.terms)
             self.den = start.den
 
-    def add(self, sign: int, f: PolyScalar, g: PolyScalar | None = None):
-        """Add sign * f * g, or sign * f when g is None; sign is 1 or -1."""
-        d = f.den if g is None else f.den * g.den
+    def _cofactor(self, d: int) -> int:
+        """Make d divide the common denominator, rescaling the map if it grows; den // d."""
         terms, den = self.terms, self.den
         if not terms:
             self.den = den = d
@@ -473,7 +496,12 @@ class ProductSum:
             for code, (an, bn) in terms.items():
                 terms[code] = (an * r, bn * r)
             self.den = den = grown
-        s = sign * (den // d)
+        return den // d
+
+    def add(self, sign: int, f: PolyScalar, g: PolyScalar | None = None):
+        """Add sign * f * g, or sign * f when g is None; sign is 1 or -1."""
+        s = sign * self._cofactor(f.den if g is None else f.den * g.den)
+        terms = self.terms
         get = terms.get
         if g is None:
             for code, (an, bn) in f.terms.items():
@@ -503,6 +531,24 @@ class ProductSum:
                     terms[code] = (a1 * a2 - b1 * b2, a1 * b2 + b1 * a2)
                 else:
                     terms[code] = (cur[0] + a1 * a2 - b1 * b2, cur[1] + a1 * b2 + b1 * a2)
+
+    def add_multiple(self, value: GaussRational, f: PolyScalar):
+        """Add value * f for a nonzero Gaussian rational value; a bare term like add(sign, f)."""
+        s = self._cofactor(f.den * value.d)
+        a2, b2 = value.an * s, value.bn * s
+        terms = self.terms
+        get = terms.get
+        for code, (an, bn) in f.terms.items():
+            ar = an * a2 - bn * b2
+            br = an * b2 + bn * a2
+            cur = get(code)
+            if cur is not None:
+                ar += cur[0]
+                br += cur[1]
+                if not (ar or br):
+                    del terms[code]
+                    continue
+            terms[code] = (ar, br)
 
     def total(self) -> PolyScalar:
         """The sum as a canonical PolyScalar, which takes over the map: add nothing after."""

@@ -14,7 +14,14 @@ from fractions import Fraction
 from itertools import combinations
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from .algebra import GaussRational, PolyScalar, ProductSum
+from .algebra import (
+    GR_ONE,
+    GaussRational,
+    PolyScalar,
+    ProductSum,
+    code_span,
+    products_may_overflow,
+)
 
 if TYPE_CHECKING:
     from .chart import Chart
@@ -214,9 +221,12 @@ class ScalarForm:
 
 
 class VectorForm:
-    """Tangent-valued form K = sum_a kappa^a (x) d/dx_a, all components one degree."""
+    """Tangent-valued form K = sum_a kappa^a (x) d/dx_a, all components one degree.
 
-    __slots__ = ("chart", "degree", "comps")
+    Treated as immutable: interior keeps a table of its coefficient classes.
+    """
+
+    __slots__ = ("chart", "degree", "comps", "_classes")
 
     def __init__(self, chart: "Chart", degree: int, comps: Sequence[ScalarForm]):
         if len(comps) != chart.dim:
@@ -227,6 +237,7 @@ class VectorForm:
         self.chart = chart
         self.degree = degree
         self.comps = tuple(comps)
+        self._classes = None
 
     @staticmethod
     def zero(chart: "Chart", degree: int) -> "VectorForm":
@@ -241,6 +252,36 @@ class VectorForm:
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.comps)
+
+    def coefficient_classes(self):
+        """(rows, classes, span), built on first use and kept.
+
+        Each coefficient g is lam * h, with lam the coefficient of g's lowest
+        code, so two coefficients are proportional exactly when their h are
+        equal.  rows[a] lists (index key, g, class, lam) for the terms of
+        kappa^a; class indexes classes, which holds the h shared by two or
+        more coefficients, and is None for a g proportional to no other.
+        span is code_span of all coefficients.
+        """
+        if self._classes is None:
+            flat, by_h = [], {}
+            for axis, comp in enumerate(self.comps):
+                for key, g in comp.terms.items():
+                    an, bn = g.terms[min(g.terms)]
+                    lam = GaussRational._raw(an, bn, g.den)
+                    by_h.setdefault(g.scale(GR_ONE / lam), []).append(len(flat))
+                    flat.append((axis, key, g, lam))
+            classes, class_of = [], {}
+            for h, members in by_h.items():
+                if len(members) > 1:
+                    class_of.update(dict.fromkeys(members, len(classes)))
+                    classes.append(h)
+            rows = [[] for _ in self.comps]
+            for i, (axis, key, g, lam) in enumerate(flat):
+                rows[axis].append((key, g, class_of.get(i), lam))
+            span = code_span(g for _, _, g, _ in flat)
+            self._classes = rows, classes, span
+        return self._classes
 
     def _check_compatible(self, other: "VectorForm"):
         if self.chart is not other.chart:
@@ -376,18 +417,48 @@ def wedge(alpha: ScalarForm, beta: ScalarForm) -> ScalarForm:
 
 
 def _interior_terms(K: VectorForm, target: ScalarForm):
-    """One item per (target term f dx^key, slot pos of key holding axis a, term g of kappa^a).
+    """Items (index key, sign, factor, factor) whose signed products sum to i_K target.
 
-    Its factors are g and f, and its sign (-1)^pos, from contracting slot pos,
+    Each (target term f dx^key, slot pos of key holding axis a, term g of
+    kappa^a) contributes sign * g * f: (-1)^pos from contracting slot pos,
     times the sign of wedging g's index key in front of what is left.
+    Contributions to one index key whose g lie in one coefficient class
+    (g = lam * h) are summed first, sum sign * lam * f, and multiplied by h
+    once, which is exact by distributivity.  If a product of K's codes with
+    the target's could overflow, nothing is grouped, so that ProductSum's
+    guard sees every product on its own.
     """
+    rows, classes, span = K.coefficient_classes()
+    num_vars = K.chart.dim
+    grouped = bool(classes) and not products_may_overflow(
+        span, code_span(target.terms.values()), num_vars
+    )
+    groups = {}  # (index key, class) -> [(sign, g, lam, f)]
     for key, f in target.terms.items():
         for pos, axis in enumerate(key):
             reduced = key[:pos] + key[pos + 1 :]
-            for k_key, g in K.comps[axis].terms.items():
+            for k_key, g, cls, lam in rows[axis]:
                 merged, sign = _merge_sign(k_key, reduced)
-                if merged is not None:
-                    yield merged, sign if pos % 2 == 0 else -sign, g, f
+                if merged is None:
+                    continue
+                if pos % 2:
+                    sign = -sign
+                if cls is None or not grouped:
+                    yield merged, sign, g, f
+                else:
+                    groups.setdefault((merged, cls), []).append((sign, g, lam, f))
+    while groups:
+        (merged, cls), members = groups.popitem()
+        if len(members) == 1:
+            sign, g, _, f = members[0]
+            yield merged, sign, g, f
+            continue
+        combination = ProductSum(num_vars)
+        for sign, _, lam, f in members:
+            combination.add_multiple(lam if sign > 0 else -lam, f)
+        total = combination.total()
+        if total:
+            yield merged, 1, classes[cls], total
 
 
 def interior(K: VectorForm, target):

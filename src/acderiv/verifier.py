@@ -504,7 +504,13 @@ def _check_NILP(ctx: _CheckContext):
 
 
 def _check_NEG_T381(ctx: _CheckContext):
-    """Negative control: the corrupted T3.8.1 must produce a nonzero residual."""
+    """Negative control: the corrupted T3.8.1 must produce a nonzero residual.
+
+    Dropping the 1/2 changes the right-hand side by i_{[phi, phi]/2}, so the
+    corruption can show only where [phi, phi] != 0, and it does so without
+    torsion: it leaves residuals on standard:2 and none on standard:1, where
+    [phi, phi] = 0.  The control still runs only on charts with torsion.
+    """
     if ctx.chart.torsion().is_zero():
         raise CheckSkipped("negative control needs a non-integrable chart (nonzero torsion)")
     groups = _check_T381(ctx, corrupt=True)

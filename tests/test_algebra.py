@@ -50,6 +50,15 @@ def test_gauss_rational_normalization_is_canonical():
     assert GaussRational(0, 1)
 
 
+@pytest.mark.parametrize("value", [0, 1, 3, -3, Fraction(1, 2), Fraction(-7, 6)])
+def test_values_equal_to_numbers_hash_like_them(value):
+    # equal objects must hash equal, or dicts and sets keyed by numbers miss them
+    for equal in (GaussRational(value), PolyScalar.constant(value, 2)):
+        assert equal == value
+        assert hash(equal) == hash(value)
+        assert {value: "found"}[equal] == "found"
+
+
 # -- PolyScalar ring operations ----------------------------------------------
 
 

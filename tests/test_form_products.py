@@ -1,7 +1,9 @@
 """Form-layer products summed by ProductSum, checked against products summed one by one.
 
 wedge, interior, bidegree_split_scalar and value_projected multiply every
-coefficient pair straight into one numerator map per index key.  The
+coefficient pair straight into one numerator map per index key; interior
+first sums the target coefficients that meet proportional coefficients of K
+at one index key, and multiplies once per coefficient class.  The
 references here build each product with PolyScalar * and add it with +, so
 any slip in the running denominator, the signs or the cancellations shows up
 as a difference.  Every stored coefficient must also be canonical.
@@ -14,8 +16,8 @@ from math import gcd
 
 import pytest
 
-from acderiv import VectorForm, interior, wedge
-from acderiv.algebra import GaussRational, PolyScalar
+from acderiv import VectorForm, interior, random_form, wedge
+from acderiv.algebra import GaussRational, PolyScalar, ProductSum
 from acderiv.forms import (
     BundleForm,
     ScalarForm,
@@ -165,6 +167,70 @@ def test_fused_products_match_products_summed_one_by_one(twisted2, seed):
     assert wedge(alpha, alpha).is_zero()
 
 
+def typed_phi(chart, seed):
+    """A (0,1)-form valued in T^{1,0}: proportional coefficients come from the complex structure."""
+    return random_form(chart, (0, 1), "1,0", 2, f"typed-{seed}")
+
+
+@pytest.mark.parametrize("chart_name", ["std2", "twisted2"])
+@pytest.mark.parametrize("seed", range(3))
+def test_interior_by_coefficient_class_matches_products_one_by_one(request, chart_name, seed):
+    chart = request.getfixturevalue(chart_name)
+    rng = random.Random(f"classes-{seed}")
+    phi = typed_phi(chart, seed)
+    assert phi.coefficient_classes()[1], "a typed form has proportional coefficients"
+    for K in (phi, phi.conjugate(), -phi):
+        for degree in (1, 2, 3):
+            target = random_scalar(chart, degree, rng)
+            got = interior(K, target)
+            assert got == ref_interior(K, target)
+            assert_canonical(got)
+
+
+def vector_comps(chart, entries):
+    """Components of a vector form from {axis: {index key: polynomial}}."""
+    return [ScalarForm(chart, entries.get(axis, {})) for axis in range(chart.dim)]
+
+
+def test_grouped_contributions_that_cancel_leave_no_key(std2):
+    x1, x2 = PolyScalar.variable(0, 4), PolyScalar.variable(1, 4)
+    q = x1 * x2 + PolyScalar.constant(GaussRational(1, 2), 4)
+    i = GaussRational(0, 1)
+    # kappa^1 = q dx3, kappa^2 = i q dx3: one class; i_K (f dx1 + i f dx2) = (q f - q f) dx3
+    K = VectorForm(std2, 1, vector_comps(std2, {0: {(2,): q}, 1: {(2,): q.scale(i)}}))
+    f = x1 + x2 * x2
+    target = ScalarForm(std2, {(0,): f, (1,): f.scale(i), (3,): x2})
+    got = interior(K, target)
+    assert got == ref_interior(K, target)
+    assert got.is_zero()
+    # kappa^1 = q dx1, kappa^2 = -q dx2 on dx1^dx2 cancels at the empty key
+    K = VectorForm(std2, 1, vector_comps(std2, {0: {(0,): q}, 1: {(1,): -q}}))
+    target = ScalarForm(std2, {(0, 1): f})
+    assert interior(K, target) == ref_interior(K, target)
+    assert interior(K, target).is_zero()
+
+
+def test_interior_multiplies_once_per_class_and_key(std2, monkeypatch):
+    phi = typed_phi(std2, 0)
+    u = random_scalar(std2, 1, random.Random("count"))
+    assert len(u.terms) == 4
+    products = []
+    add = ProductSum.add
+
+    def counting_add(self, sign, f, g=None):
+        if g is not None:
+            products.append((f, g))
+        return add(self, sign, f, g)
+
+    monkeypatch.setattr(ProductSum, "add", counting_add)
+    got = interior(phi, u)
+    monkeypatch.undo()
+    # each output dx^b meets phi^a_b for the four axes a: two classes, not four products
+    assert len(got.terms) == 4
+    assert len(products) == 2 * len(got.terms)
+    assert got == ref_interior(phi, u)
+
+
 # -- the exponent guard through the form layer ----------------------------------------
 
 
@@ -195,3 +261,13 @@ def test_overflowed_products_that_cancel_still_raise(std2):
     target = ScalarForm(std2, {(0, 1): big(std2)})
     with pytest.raises(OverflowError):
         interior(VectorForm(std2, 1, comps), target)
+
+
+def test_grouped_products_that_overflow_still_raise(std2):
+    # kappa^1 = kappa^2 = p dx3 share a class; on (p + x2) dx1 - p dx2 their combination
+    # is x2, whose product with p fits, but p * p overflows in both products
+    x2 = PolyScalar.variable(1, std2.dim)
+    K = VectorForm(std2, 1, vector_comps(std2, {0: {(2,): big(std2)}, 1: {(2,): big(std2)}}))
+    target = ScalarForm(std2, {(0,): big(std2) + x2, (1,): big(std2, -1)})
+    with pytest.raises(OverflowError):
+        interior(K, target)

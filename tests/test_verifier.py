@@ -96,6 +96,20 @@ def test_corrupted_rhs_actually_fails():
     assert residuals, "dropping the 1/2 coefficient must leave a residual"
 
 
+@pytest.mark.parametrize("chart, caught", [("standard:2", 42), ("standard:1", 0)])
+def test_corruption_needs_a_nonzero_phi_bracket_not_torsion(chart, caught):
+    # torsion-free charts both: [phi, phi] != 0 on standard:2 and = 0 on standard:1
+    from acderiv.verifier import _CheckContext, _check_T381
+
+    ctx = _CheckContext(IdentityCheck(id="T3.8.1", chart=chart, seed=7))
+    assert ctx.chart.torsion().is_zero()
+    assert fn_bracket(ctx.form("phi"), ctx.form("phi")).is_zero() == (caught == 0)
+    (_, residuals), = _check_T381(ctx, corrupt=True)
+    assert len(residuals) == caught
+    skipped = check_identity(IdentityCheck(id="NEG-T3.8.1", chart=chart, seed=7))
+    assert skipped.status == "skip"
+
+
 @pytest.mark.parametrize("count", [0, 1, 2, 3])
 @pytest.mark.parametrize("shift", [0, 1, 2])
 def test_nr_sum_matches_iterated_brackets(twisted2, count, shift):
