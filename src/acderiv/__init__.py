@@ -39,8 +39,8 @@ from .operators import (
     algebra_iterated_bracket,
     commutable_degree,
     conjugate_operator,
-    conjugate_operators,
     conjugation_closed_form,
+    conjugation_residuals,
     conjugated_exponential,
     connection_split,
     decompose_derivation,
@@ -83,7 +83,7 @@ __all__ = [
     "lie_derivative",
     "exp_interior",
     "conjugate_operator",
-    "conjugate_operators",
+    "conjugation_residuals",
     "decompose_derivation",
     "refined_decompose",
     "AlgebraElement",

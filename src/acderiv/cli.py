@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from .verifier import (
@@ -126,6 +126,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         config.degree = _integer(values, "degree")
     if "seed" in values:
         seed = values["seed"]
+        if isinstance(seed, bool) or not isinstance(seed, (int, str)):
+            raise ConfigError(f"seed must be an integer or a string, got {seed!r}")
         config.seed = int(seed) if isinstance(seed, str) and seed.lstrip("-").isdigit() else seed
     if "ids" in values:
         config.ids = _parse_ids(values["ids"])

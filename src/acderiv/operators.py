@@ -292,54 +292,10 @@ def exp_interior(phi: VectorForm) -> Tuple[DerivationOp, DerivationOp]:
     return exp_op(phi, "e^{i_φ}"), exp_op(-phi, "e^{-i_φ}")
 
 
-def conjugate_operators(ops: Sequence[DerivationOp], phi: VectorForm) -> List[DerivationOp]:
-    """[e^{-i_phi} ∘ D ∘ e^{i_phi} for D in ops], evaluated by the direct truncated series.
-
-    No closed form is used anywhere on this side; it is the brute-force oracle
-    the bracket formulas are compared against.
-
-    The operators share one evaluation per input u: e^{i_phi} u once, every D
-    on it, and e^{-i_phi} once per distinct inner image (images that are
-    exactly equal give the same result).  State is kept for the most recent
-    input only, held by identity, and each image or result is dropped once
-    every operator that needs it has taken its result; so evaluate member by
-    member (residual_groups) for the sharing to take effect.
-    """
-    exp_plus, exp_minus = exp_interior(phi)
-    held_u, slots = None, {}  # op index -> [inner image or result, is result], shared by equal images
-
-    def result(u: BundleForm, k: int) -> BundleForm:
-        nonlocal held_u, slots
-        if held_u is not u or k not in slots:
-            held_u, slots = None, {}
-            inner = exp_plus.action(u)
-            distinct: List[list] = []
-            fresh = {}
-            for i, op in enumerate(ops):
-                image = op.action(inner)
-                slot = next((s for s in distinct if s[0] == image), None)
-                if slot is None:
-                    slot = [image, False]
-                    distinct.append(slot)
-                fresh[i] = slot
-            del inner, image  # e^{-i_phi} runs later: keep only the distinct images
-            held_u, slots = u, fresh
-        slot = slots.pop(k)
-        if not slot[1]:
-            slot[:] = exp_minus.action(slot[0]), True
-        if not slots:
-            held_u = None
-        return slot[0]
-
-    return [
-        DerivationOp(op.degree, lambda u, k=k: result(u, k), f"e⁻∘{op.tag}∘e⁺")
-        for k, op in enumerate(ops)
-    ]
-
-
 def conjugate_operator(op: DerivationOp, phi: VectorForm) -> DerivationOp:
-    """e^{-i_phi} ∘ D ∘ e^{i_phi}: the one-operator case of conjugate_operators."""
-    return conjugate_operators([op], phi)[0]
+    """e^{-i_phi} ∘ D ∘ e^{i_phi}, by the direct truncated series."""
+    exp_plus, exp_minus = exp_interior(phi)
+    return exp_minus.compose(op.compose(exp_plus))
 
 
 # -- generator family and extensional residuals ---------------------------------
@@ -379,41 +335,73 @@ def generator_family(chart: Chart, rank: int) -> List[Tuple[str, BundleForm]]:
     return family
 
 
-def residual_groups(
-    groups: Sequence[Tuple[str, DerivationOp, DerivationOp]],
-    family: Sequence[Tuple[str, BundleForm]],
-) -> List[Tuple[str, List[Tuple[str, BundleForm]]]]:
-    """[(label, nonzero (lhs - rhs) applications over the family)] for each (label, lhs, rhs).
-
-    Evaluation runs member by member, and each distinct operator object is
-    applied once per member, so a right-hand side shared by several groups
-    runs once and operators from one conjugate_operators call share their
-    exponentials.  Residuals come in family order.
-    """
-    out = [(label, []) for label, _, _ in groups]
-    last_use = {id(op): g for g, (_, lhs, rhs) in enumerate(groups) for op in (lhs, rhs)}
-    for member, u in family:
-        images = {}  # id(op) -> op(u) until the op's last group; the groups keep every op alive
-        for g, ((_, lhs, rhs), (_, bad)) in enumerate(zip(groups, out)):
-            for op in (lhs, rhs):
-                if id(op) not in images:
-                    images[id(op)] = op.action(u)
-            res = images[id(lhs)] - images[id(rhs)]
-            for op in (lhs, rhs):
-                if last_use[id(op)] == g:
-                    images.pop(id(op), None)
-            if not res.is_zero():
-                bad.append((member, res))
-    return out
-
-
 def operator_residuals(
     lhs: DerivationOp,
     rhs: DerivationOp,
     family: Sequence[Tuple[str, BundleForm]],
 ) -> List[Tuple[str, BundleForm]]:
     """Nonzero (lhs - rhs) applications over the family; empty means equal."""
-    return residual_groups([("", lhs, rhs)], family)[0][1]
+    out = []
+    for member, u in family:
+        res = lhs.action(u) - rhs.action(u)
+        if not res.is_zero():
+            out.append((member, res))
+    return out
+
+
+def _distinct(items) -> Tuple[list, List[int]]:
+    """(the distinct items in first-seen order, each item's index among them), by exact ==.
+
+    A repeated item is dropped as soon as it is matched, so from a generator
+    argument no repeated item outlives its comparison.
+    """
+    distinct: list = []
+    index = []
+    for item in items:
+        k = next((k for k, seen in enumerate(distinct) if seen == item), len(distinct))
+        if k == len(distinct):
+            distinct.append(item)
+        index.append(k)
+    return distinct, index
+
+
+def conjugation_residuals(
+    phi: VectorForm,
+    groups: Sequence[Tuple[str, DerivationOp, DerivationOp]],
+    family: Sequence[Tuple[str, BundleForm]],
+) -> List[Tuple[str, List[Tuple[str, BundleForm]]]]:
+    """[(label, nonzero (e^{-i_phi} D e^{i_phi} - R) applications over the family)]
+    for each group (label, D, R) asserting e^{-i_phi} D e^{i_phi} = R.
+
+    The conjugation is the direct truncated series, no closed form: it is the
+    brute-force oracle the bracket formulas are compared against.  Per member
+    u it applies e^{i_phi} once, each D once, e^{-i_phi} once per distinct D
+    image (exactly equal images share it) in the first group that needs it,
+    and each distinct R once; every value is dropped after the last group that
+    needs it.  Residuals come in family order.
+    """
+    exp_plus, exp_minus = exp_interior(phi)
+    rhs_ops, rhs_slot = _distinct(R for _, _, R in groups)
+    out = [(label, []) for label, _, _ in groups]
+    for member, u in family:
+        inner = exp_plus.action(u)
+        lhs, lhs_slot = _distinct(D.action(inner) for _, D, _ in groups)
+        del inner
+        rhs: list = [None] * len(rhs_ops)
+        for g, (_, bad) in enumerate(out):
+            k, h = lhs_slot[g], rhs_slot[g]
+            if lhs_slot.index(k) == g:
+                lhs[k] = exp_minus.action(lhs[k])  # the image gives way to its conjugate
+            if rhs_slot.index(h) == g:
+                rhs[h] = rhs_ops[h].action(u)
+            res = lhs[k] - rhs[h]
+            if k not in lhs_slot[g + 1:]:
+                lhs[k] = None
+            if h not in rhs_slot[g + 1:]:
+                rhs[h] = None
+            if not res.is_zero():
+                bad.append((member, res))
+    return out
 
 
 def _mul_bundle_poly(u: BundleForm, poly: PolyScalar) -> BundleForm:

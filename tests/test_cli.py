@@ -103,13 +103,24 @@ def test_unknown_config_field_rejected(tmp_path):
 
 @pytest.mark.parametrize(
     "field, value",
-    [("rank", "two"), ("rank", 2.7), ("degree", "2"), ("degree", True), ("parallel", "false"), ("parallel", 1)],
+    [
+        ("rank", "two"), ("rank", 2.7), ("degree", "2"), ("degree", True), ("parallel", "false"), ("parallel", 1),
+        ("seed", None), ("seed", 1.5), ("seed", True), ("seed", [1]), ("seed", [1, 2]), ("seed", {}), ("seed", {"a": 1}),
+    ],
 )
 def test_config_file_values_of_the_wrong_type_are_rejected(tmp_path, capsys, field, value):
     config = tmp_path / "typed.json"
     config.write_text(json.dumps({"chart": "standard:1", "ids": ["EQ2.3"], field: value}))
     assert run_cli(["--config", str(config)]) == cli.USAGE_ERROR
     assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value, seed", [("alpha", "alpha"), ("12", 12), (-3, -3)])
+def test_config_file_seed_may_be_an_integer_or_a_string(tmp_path, value, seed):
+    config = tmp_path / "seeded.json"
+    config.write_text(json.dumps({"seed": value}))
+    args = cli._build_parser().parse_args(["--config", str(config)])
+    assert cli.build_config(args).seed == seed
 
 
 def test_exit_code_one_on_failure(monkeypatch, tmp_path):

@@ -44,7 +44,7 @@ from acderiv.operators import (
     DecompositionError,
     NotNilpotentError,
     conjugate_by_exponential,
-    conjugate_operators,
+    conjugation_residuals,
     generator_family,
     interior_op,
     matrix_exp_nilpotent,
@@ -53,12 +53,11 @@ from acderiv.operators import (
     random_connection,
     random_matrix,
     random_strict_upper,
-    residual_groups,
     series,
     vanishing_order,
 )
 from acderiv.algebra import GaussRational, PolyScalar
-from acderiv.verifier import IdentityCheck, _CheckContext, _check_T386, _closed_form_1
+from acderiv.verifier import IdentityCheck, _CheckContext, _closed_form_1, check_identity
 
 
 def ops_equal(lhs, rhs, chart, rank):
@@ -377,9 +376,9 @@ def count_exponentials(monkeypatch, form):
     return applied
 
 
-def t386_inputs(chart, rank=2, degree=2):
-    """T3.8.6's seeded connection, phi and psibar, and its family."""
-    ctx = _CheckContext(IdentityCheck(id="T3.8.6", chart=chart, rank=rank, degree=degree, seed=7))
+def t38_inputs(check, chart, rank=2, degree=2):
+    """A Theorem 3.8 check's seeded connection, phi and psibar, and its family."""
+    ctx = _CheckContext(IdentityCheck(id=check, chart=chart, rank=rank, degree=degree, seed=7))
     conn = ctx.connection()
     phi = ctx.form("phi")
     psibar = conjugate_form(ctx.form("psi"))
@@ -392,46 +391,68 @@ def t381_rhs(conn, phi, quad=Fraction(1, 2)):
 
 def test_joint_conjugation_equals_separate_conjugations(monkeypatch):
     # degree 1 keeps standard:2 fast; there [phi, phi] != 0, so quad = 1 changes the image
-    conn, phi, psibar, _ = t386_inputs("standard:2", rank=1, degree=1)
+    conn, phi, psibar, _ = t38_inputs("T3.8.6", "standard:2", rank=1, degree=1)
     fam = generator_family(phi.chart, 1)
-    ops = [conjugate_operator(nabla(conn), phi), t381_rhs(conn, phi), t381_rhs(conn, phi, Fraction(1))]
-    separate = [conjugate_operator(op, psibar) for op in ops]
+    rhs = nabla(conn)
+    groups = [
+        ("conjugated", conjugate_operator(nabla(conn), phi), rhs),
+        ("closed", t381_rhs(conn, phi), rhs),
+        ("corrupted", t381_rhs(conn, phi, Fraction(1)), rhs),
+    ]
+    separate = [
+        (label, operator_residuals(conjugate_operator(D, psibar), R, fam)) for label, D, R in groups
+    ]
     applied = count_exponentials(monkeypatch, psibar)
-    joint = conjugate_operators(ops, psibar)
+    assert conjugation_residuals(psibar, groups, fam) == separate
+    assert applied["plus"] == [u for _, u in fam]
     per_member = []
-    for _, u in fam:
+    for member in fam:
         before = len(applied["minus"])
-        assert [op(u) for op in joint] == [op(u) for op in separate]
+        conjugation_residuals(psibar, groups, [member])
         per_member.append(len(applied["minus"]) - before)
-    assert len(applied["plus"]) == len(fam)
     # equal inner images (T3.8.1 holds) share e^{-i_psibar}; the corrupted one does not
     assert set(per_member) == {1, 2}
 
 
-def test_residual_groups_match_per_group_residuals():
-    conn, phi, _, fam = t386_inputs("twisted:2", rank=1, degree=1)
-    lhs = conjugate_operator(nabla(conn), phi)
+def test_conjugation_residuals_match_per_group_residuals():
+    conn, phi, _, fam = t38_inputs("T3.8.6", "twisted:2", rank=1, degree=1)
+    nab = nabla(conn)
     applied = []
     exact = t381_rhs(conn, phi)
     shared = dataclasses.replace(exact, action=lambda u: applied.append(u) or exact.action(u))
     groups = [
-        ("corrupted-T3.8.1", lhs, t381_rhs(conn, phi, Fraction(1))),
-        ("T3.8.1", lhs, shared),
+        ("corrupted-T3.8.1", nab, t381_rhs(conn, phi, Fraction(1))),
+        ("T3.8.1", nab, shared),
         ("shared-rhs", t381_rhs(conn, phi), shared),
     ]
-    got = residual_groups(groups, fam)
+    got = conjugation_residuals(phi, groups, fam)
     assert len(applied) == len(fam), "a shared operator runs once per member"
     assert got[0][1], "the corrupted group must fail"
-    assert got == [(label, operator_residuals(l, r, fam)) for label, l, r in groups]
+    assert not got[1][1], "T3.8.1 must hold"
+    assert got == [
+        (label, operator_residuals(conjugate_operator(D, phi), R, fam)) for label, D, R in groups
+    ]
 
 
-def test_T386_applies_the_outer_exponential_once_per_member(monkeypatch):
-    _, _, psibar, fam = t386_inputs("standard:1")
-    applied = count_exponentials(monkeypatch, psibar)
-    spec = IdentityCheck(id="T3.8.6", chart="standard:1", seed=7)
-    assert all(not residuals for _, residuals in _check_T386(_CheckContext(spec)))
+@pytest.mark.parametrize(
+    "check, by, images_agree",
+    [
+        pytest.param("T3.8.2", "phi", False, id="T3.8.2"),
+        # standard:1 has no torsion, so both interior images vanish
+        pytest.param("T3.8.3", "phi", True, id="T3.8.3"),
+        pytest.param("T3.8.4", "psibar", False, id="T3.8.4"),
+        # T3.8.1 holds, so both routes give one image
+        pytest.param("T3.8.6", "psibar", True, id="T3.8.6"),
+    ],
+)
+def test_T38_applies_the_outer_exponential_once_per_member(monkeypatch, check, by, images_agree):
+    _, phi, psibar, fam = t38_inputs(check, "standard:1")
+    applied = count_exponentials(monkeypatch, {"phi": phi, "psibar": psibar}[by])
+    assert check_identity(IdentityCheck(id=check, chart="standard:1", seed=7)).status == "pass"
     assert applied["plus"] == [u for _, u in fam]
-    assert len(applied["minus"]) == len(fam)
+    # e^{-i} runs once per distinct inner image of the check's two operators
+    assert len(fam) <= len(applied["minus"]) <= 2 * len(fam)
+    assert (len(applied["minus"]) == len(fam)) == images_agree
 
 
 # -- decompositions ---------------------------------------------------------------------
