@@ -6,7 +6,7 @@ coefficients, and verifies the exponential-conjugation identities of the
 derivation algebra as identically-zero polynomial residuals.
 """
 
-from .algebra import GaussRational, PolyScalar
+from .algebra import AlgebraElement, GaussRational, PolyScalar
 from .chart import (
     Chart,
     Projectors,
@@ -33,7 +33,6 @@ from .forms import (
     wedge,
 )
 from .operators import (
-    AlgebraElement,
     Connection,
     DerivationOp,
     algebra_iterated_bracket,
@@ -54,6 +53,7 @@ from .operators import (
 __all__ = [
     "GaussRational",
     "PolyScalar",
+    "AlgebraElement",
     "Chart",
     "Projectors",
     "make_standard_chart",
@@ -86,7 +86,6 @@ __all__ = [
     "conjugation_residuals",
     "decompose_derivation",
     "refined_decompose",
-    "AlgebraElement",
     "algebra_iterated_bracket",
     "commutable_degree",
     "conjugation_closed_form",

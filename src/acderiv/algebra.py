@@ -1,4 +1,4 @@
-"""Exact coefficient arithmetic: Gaussian rationals and sparse multivariate polynomials.
+"""Exact arithmetic: Gaussian rationals, sparse multivariate polynomials, square matrices over either.
 
 Every identity this package certifies is "residual == the zero polynomial",
 so the coefficient ring must be exact.  There is deliberately no float mode.
@@ -9,8 +9,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache, reduce
 from math import gcd
-from operator import or_
-from typing import Iterable, Mapping, Union
+from operator import add, or_, sub
+from typing import Iterable, Mapping, Sequence, Union
 
 RationalLike = Union[int, Fraction]
 
@@ -561,3 +561,104 @@ class ProductSum:
         out = PolyScalar(self.num_vars, terms, self.den, _normalized=True)
         out._normalize()  # the constructor keeps the map uncopied; reduce it here
         return out
+
+
+class AlgebraElement:
+    """Square matrix over one exact ring; the generic unital-algebra element.
+
+    A matrix whose first entry is a PolyScalar is a polynomial matrix field
+    (a chart's J and its projectors) and keeps its entries as given; every
+    entry must then be a PolyScalar.  Otherwise plain numbers are coerced to
+    GaussRational (the constant matrices of the finite-commutability
+    lemmas).  Entries are treated as immutable; ``m[i]`` is row i, so
+    ``m[i][j]`` reads one entry.
+    """
+
+    __slots__ = ("dim", "entries")
+
+    def __init__(self, entries: Sequence[Sequence]):
+        rows = [tuple(row) for row in entries]
+        self.dim = len(rows)
+        if any(len(row) != self.dim for row in rows):
+            raise ValueError("matrix must be square")
+        if rows and isinstance(rows[0][0], PolyScalar):
+            if not all(isinstance(e, PolyScalar) for row in rows for e in row):
+                raise TypeError("a polynomial matrix takes PolyScalar entries only")
+        else:
+            rows = [tuple(map(GaussRational.coerce, row)) for row in rows]
+        self.entries = tuple(rows)
+
+    @staticmethod
+    def identity(dim: int) -> "AlgebraElement":
+        return AlgebraElement(
+            [[1 if i == j else 0 for j in range(dim)] for i in range(dim)]
+        )
+
+    @staticmethod
+    def zero(dim: int) -> "AlgebraElement":
+        return AlgebraElement([[0] * dim for _ in range(dim)])
+
+    @staticmethod
+    def elementary(dim: int, i: int, j: int) -> "AlgebraElement":
+        return AlgebraElement(
+            [[1 if (r, c) == (i, j) else 0 for c in range(dim)] for r in range(dim)]
+        )
+
+    def __getitem__(self, row: int) -> tuple:
+        return self.entries[row]
+
+    def _check(self, other: "AlgebraElement"):
+        if self.dim != other.dim:
+            raise ValueError("matrix dimension mismatch")
+
+    def _entrywise(self, other, op):
+        self._check(other)
+        return AlgebraElement([list(map(op, ra, rb)) for ra, rb in zip(self.entries, other.entries)])
+
+    def __add__(self, other):
+        return self._entrywise(other, add)
+
+    def __neg__(self):
+        return AlgebraElement([[-a for a in row] for row in self.entries])
+
+    def __sub__(self, other):
+        return self._entrywise(other, sub)
+
+    def __mul__(self, other):
+        """The matrix product; each entry sums only the products of nonzero pairs."""
+        self._check(other)
+        first = self.entries[0][0] if self.dim else GR_ZERO
+        zero = PolyScalar.zero(first.num_vars) if isinstance(first, PolyScalar) else GR_ZERO
+        cols = list(zip(*other.entries))
+        rows = []
+        for row in self.entries:
+            out = []
+            for col in cols:
+                acc = zero
+                for a, b in zip(row, col):
+                    if a and b:
+                        acc = acc + a * b
+                out.append(acc)
+            rows.append(out)
+        return AlgebraElement(rows)
+
+    def scale(self, value) -> "AlgebraElement":
+        value = GaussRational.coerce(value)
+        return AlgebraElement([[a * value for a in row] for row in self.entries])
+
+    def commutator(self, other: "AlgebraElement") -> "AlgebraElement":
+        return self * other - other * self
+
+    def is_zero(self) -> bool:
+        return all(not e for row in self.entries for e in row)
+
+    def __eq__(self, other):
+        if not isinstance(other, AlgebraElement):
+            return NotImplemented
+        return self.entries == other.entries
+
+    def __hash__(self):
+        return hash(self.entries)
+
+    def __repr__(self):
+        return f"AlgebraElement({[[str(e) for e in row] for row in self.entries]})"

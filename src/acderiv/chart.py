@@ -12,74 +12,14 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List, Sequence
 
-from .algebra import GR_HALF, GaussRational, PolyScalar, ProductSum
-
-PolyMatrix = List[List[PolyScalar]]
+from .algebra import GR_HALF, AlgebraElement, GaussRational, PolyScalar, ProductSum
 
 
-# -- small polynomial-matrix kit -------------------------------------------
-
-
-def mat_identity(dim: int, num_vars: int) -> PolyMatrix:
-    return [
-        [PolyScalar.constant(1 if i == j else 0, num_vars) for j in range(dim)]
-        for i in range(dim)
-    ]
-
-
-def mat_zero(dim: int, num_vars: int) -> PolyMatrix:
-    return [[PolyScalar.zero(num_vars) for _ in range(dim)] for _ in range(dim)]
-
-
-def mat_add(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-def mat_sub(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_mul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
-    dim = len(a)
-    out = []
-    for i in range(dim):
-        row = []
-        for j in range(dim):
-            acc = ProductSum(a[0][0].num_vars)
-            for k in range(dim):
-                acc.add(1, a[i][k], b[k][j])
-            row.append(acc.total())
-        out.append(row)
-    return out
-
-
-def mat_scale(a: PolyMatrix, c) -> PolyMatrix:
-    return [[entry.scale(c) for entry in row] for row in a]
-
-
-def mat_eq(a: PolyMatrix, b: PolyMatrix) -> bool:
-    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
-
-
-def _is_strictly_upper(n_mat: PolyMatrix) -> bool:
-    return all(
-        n_mat[i][j].is_zero() for i in range(len(n_mat)) for j in range(i + 1)
+def _poly_identity(dim: int) -> AlgebraElement:
+    """The dim x dim identity matrix with constant polynomial entries in dim variables."""
+    return AlgebraElement(
+        [[PolyScalar.constant(1 if i == j else 0, dim) for j in range(dim)] for i in range(dim)]
     )
-
-
-def unipotent_inverse(n_mat: PolyMatrix, num_vars: int) -> PolyMatrix:
-    """Inverse of I + N for strictly upper-triangular N: I - N + N^2 - ..."""
-    dim = len(n_mat)
-    inv = mat_identity(dim, num_vars)
-    power = mat_identity(dim, num_vars)
-    sign = -1
-    for _ in range(dim - 1):
-        power = mat_mul(power, n_mat)
-        inv = mat_add(inv, mat_scale(power, sign))
-        sign = -sign
-    return inv
-
-
-# -- the chart itself -------------------------------------------------------
 
 
 class Projectors:
@@ -87,7 +27,7 @@ class Projectors:
 
     __slots__ = ("P10", "P01")
 
-    def __init__(self, P10: PolyMatrix, P01: PolyMatrix):
+    def __init__(self, P10: AlgebraElement, P01: AlgebraElement):
         self.P10 = P10
         self.P01 = P01
 
@@ -95,7 +35,7 @@ class Projectors:
 class Chart:
     """R^(2n) with a polynomial matrix field J satisfying J*J = -I identically."""
 
-    def __init__(self, n: int, J: PolyMatrix, name: str = "custom", check: bool = True):
+    def __init__(self, n: int, J: AlgebraElement, name: str = "custom"):
         if n < 1:
             raise ValueError("complex dimension must be >= 1")
         self.n = n
@@ -105,19 +45,14 @@ class Chart:
         self._projectors: Projectors | None = None
         self._torsion = None
         self._coframe_cache: dict = {}
-        if check:
-            minus_identity = mat_scale(mat_identity(self.dim, self.dim), -1)
-            if not mat_eq(mat_mul(J, J), minus_identity):
-                raise ValueError("J*J != -I: not an almost complex structure")
+        if J * J != -_poly_identity(self.dim):
+            raise ValueError("J*J != -I: not an almost complex structure")
 
     def projectors(self) -> Projectors:
         if self._projectors is None:
-            half = GR_HALF
-            half_i = GaussRational(0, Fraction(1, 2))
-            ident = mat_identity(self.dim, self.dim)
-            P10 = mat_sub(mat_scale(ident, half), mat_scale(self.J, half_i))
-            P01 = mat_add(mat_scale(ident, half), mat_scale(self.J, half_i))
-            self._projectors = Projectors(P10, P01)
+            half = _poly_identity(self.dim).scale(GR_HALF)
+            half_iJ = self.J.scale(GaussRational(0, Fraction(1, 2)))
+            self._projectors = Projectors(half - half_iJ, half + half_iJ)
         return self._projectors
 
     def torsion(self):
@@ -134,29 +69,35 @@ def make_standard_chart(n: int) -> Chart:
     if n < 1:
         raise ValueError("complex dimension must be >= 1")
     dim = 2 * n
-    J = mat_zero(dim, dim)
+    J = [[PolyScalar.zero(dim)] * dim for _ in range(dim)]
     for i in range(n):
         J[2 * i + 1][2 * i] = PolyScalar.constant(1, dim)
         J[2 * i][2 * i + 1] = PolyScalar.constant(-1, dim)
-    return Chart(n, J, name=f"standard:{n}", check=False)
+    return Chart(n, AlgebraElement(J), name=f"standard:{n}")
 
 
-def make_twisted_chart(n: int, N: PolyMatrix, name: str | None = None) -> Chart:
-    """J = (I+N) J0 (I+N)^{-1} for strictly upper-triangular polynomial N.
+def make_twisted_chart(n: int, N: Sequence[Sequence[PolyScalar]], name: str | None = None) -> Chart:
+    """J = (I+N) J0 (I+N)^{-1} for a strictly upper-triangular polynomial matrix N.
 
-    The unipotent conjugation keeps J*J = -I exact with polynomial entries.
+    N is given as nested lists of PolyScalar in 2n variables.  N is
+    nilpotent, so (I+N)^{-1} is the finite sum I - N + N^2 - ... up to
+    N^{2n-1}, and the unipotent conjugation keeps J*J = -I exact with
+    polynomial entries.
     """
     if n < 1:
         raise ValueError("complex dimension must be >= 1")
     dim = 2 * n
-    if len(N) != dim or any(len(row) != dim for row in N):
+    N = AlgebraElement(N)
+    if N.dim != dim:
         raise ValueError(f"N must be {dim}x{dim}")
-    if not _is_strictly_upper(N):
+    if any(N[i][j] for i in range(dim) for j in range(i + 1)):
         raise ValueError("N must be strictly upper-triangular")
-    J0 = make_standard_chart(n).J
-    a = mat_add(mat_identity(dim, dim), N)
-    a_inv = unipotent_inverse(N, dim)
-    J = mat_mul(mat_mul(a, J0), a_inv)
+    ident = _poly_identity(dim)
+    inverse = term = ident
+    for _ in range(dim - 1):
+        term = -(term * N)
+        inverse = inverse + term
+    J = (ident + N) * make_standard_chart(n).J * inverse
     return Chart(n, J, name=name or f"twisted:{n}")
 
 
@@ -174,7 +115,7 @@ def builtin_twisted_chart(n: int) -> Chart:
     if n < 2:
         raise ValueError("the builtin twisted chart needs n >= 2 (R^2 admits no non-integrable J)")
     dim = 2 * n
-    N = mat_zero(dim, dim)
+    N = [[PolyScalar.zero(dim)] * dim for _ in range(dim)]
     N[0][2] = PolyScalar.variable(0, dim)
     return make_twisted_chart(n, N, name=f"twisted:{n}")
 

@@ -91,10 +91,10 @@ def _parse_ids(value) -> Optional[List[str]]:
         return None
     if isinstance(value, str):
         ids = [item.strip() for item in value.split(",") if item.strip()]
-    elif isinstance(value, list):
-        ids = [str(item) for item in value]
+    elif isinstance(value, list) and all(isinstance(item, str) for item in value):
+        ids = value
     else:
-        raise ConfigError(f"ids must be a comma-separated string or list, got {value!r}")
+        raise ConfigError(f"ids must be a comma-separated string or a list of strings, got {value!r}")
     for cid in ids:
         if cid not in REGISTRY_IDS:
             raise ConfigError(f"unknown identity id {cid!r}; see --list-ids")
@@ -109,6 +109,14 @@ def _integer(values: dict, key: str) -> int:
     return value
 
 
+def _string(values: dict, key: str) -> str:
+    """values[key] as given, if it is a string."""
+    value = values[key]
+    if not isinstance(value, str):
+        raise ConfigError(f"{key} must be a string, got {value!r}")
+    return value
+
+
 def build_config(args: argparse.Namespace) -> RunConfig:
     values: dict = {}
     if args.config:
@@ -119,7 +127,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             values[key] = flag
     config = RunConfig()
     if "chart" in values:
-        config.chart = str(values["chart"])
+        config.chart = _string(values, "chart")
     if "rank" in values:
         config.rank = _integer(values, "rank")
     if "degree" in values:
@@ -132,7 +140,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     if "ids" in values:
         config.ids = _parse_ids(values["ids"])
     if "out" in values and values["out"] is not None:
-        config.out = str(values["out"])
+        config.out = _string(values, "out")
     if "parallel" in values:
         if not isinstance(values["parallel"], bool):
             raise ConfigError(f"parallel must be true or false, got {values['parallel']!r}")

@@ -311,10 +311,12 @@ class VectorForm:
 
     def value_projected(self, side: str) -> "VectorForm":
         """Project the tangent value onto T^{1,0} (side "1,0") or T^{0,1} ("0,1")."""
+        if side not in ("1,0", "0,1"):
+            raise ValueError(f'value side must be "1,0" or "0,1", got {side!r}')
         proj = self.chart.projectors()
         mat = proj.P10 if side == "1,0" else proj.P01
         comps = []
-        for row in mat:
+        for row in mat.entries:
             items = (
                 (key, 1, f, row[a])
                 for a, comp in enumerate(self.comps)
@@ -623,8 +625,6 @@ def bidegree_split(form, p: int, q: int, value_side: str | None = None):
             raise ValueError("scalar forms have no tangent value to project")
         return bidegree_split_scalar(form, p, q)
     if isinstance(form, VectorForm):
-        if value_side not in ("1,0", "0,1"):
-            raise ValueError('value_side must be "1,0" or "0,1" for vector forms')
         slots = VectorForm(
             form.chart,
             form.degree,

@@ -1,4 +1,4 @@
-"""Graded operators on bundle-valued forms, plus an exact matrix algebra.
+"""Graded operators on bundle-valued forms, plus nilpotent conjugation of matrices.
 
 A DerivationOp is a degree, an action and a tag, not a symbolic normal form:
 operator identities are decided extensionally, by applying both sides to the
@@ -8,7 +8,7 @@ whole-form probes.
 
 The matrix half of the module realizes the finite-commutability toolkit for
 nilpotent conjugation (iterated commutators, closed-form conjugation, and the
-transported exponential) over exact Gaussian rationals.
+transported exponential) on constant AlgebraElements over Gaussian rationals.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from itertools import combinations
 from math import factorial
 from typing import Callable, List, Sequence, Tuple
 
-from .algebra import GaussRational, PolyScalar
+from .algebra import AlgebraElement, GaussRational, PolyScalar
 from .chart import Chart
 from .forms import (
     BundleForm,
@@ -498,87 +498,7 @@ def refined_decompose(
     return K10, K01, L10, L01
 
 
-# -- exact matrix algebra (the Def 3.5 playground) --------------------------------
-
-
-class AlgebraElement:
-    """Square matrix over Gaussian rationals; the generic unital-algebra element."""
-
-    __slots__ = ("dim", "entries")
-
-    def __init__(self, entries: Sequence[Sequence]):
-        self.dim = len(entries)
-        rows = []
-        for row in entries:
-            if len(row) != self.dim:
-                raise ValueError("matrix must be square")
-            rows.append(tuple(GaussRational.coerce(e) for e in row))
-        self.entries = tuple(rows)
-
-    @staticmethod
-    def identity(dim: int) -> "AlgebraElement":
-        return AlgebraElement(
-            [[1 if i == j else 0 for j in range(dim)] for i in range(dim)]
-        )
-
-    @staticmethod
-    def zero(dim: int) -> "AlgebraElement":
-        return AlgebraElement([[0] * dim for _ in range(dim)])
-
-    @staticmethod
-    def elementary(dim: int, i: int, j: int) -> "AlgebraElement":
-        return AlgebraElement(
-            [[1 if (r, c) == (i, j) else 0 for c in range(dim)] for r in range(dim)]
-        )
-
-    def _check(self, other: "AlgebraElement"):
-        if self.dim != other.dim:
-            raise ValueError("matrix dimension mismatch")
-
-    def _entrywise(self, other, op):
-        self._check(other)
-        return AlgebraElement([list(map(op, ra, rb)) for ra, rb in zip(self.entries, other.entries)])
-
-    def __add__(self, other):
-        return self._entrywise(other, operator.add)
-
-    def __neg__(self):
-        return AlgebraElement([[-a for a in row] for row in self.entries])
-
-    def __sub__(self, other):
-        return self._entrywise(other, operator.sub)
-
-    def __mul__(self, other):
-        self._check(other)
-        dim = self.dim
-        cols = list(zip(*other.entries))
-        return AlgebraElement(
-            [
-                [sum((a * b for a, b in zip(row, col)), GaussRational(0)) for col in cols]
-                for row in self.entries
-            ]
-        )
-
-    def scale(self, value) -> "AlgebraElement":
-        value = GaussRational.coerce(value)
-        return AlgebraElement([[a * value for a in row] for row in self.entries])
-
-    def commutator(self, other: "AlgebraElement") -> "AlgebraElement":
-        return self * other - other * self
-
-    def is_zero(self) -> bool:
-        return all(not e for row in self.entries for e in row)
-
-    def __eq__(self, other):
-        if not isinstance(other, AlgebraElement):
-            return NotImplemented
-        return self.entries == other.entries
-
-    def __hash__(self):
-        return hash(self.entries)
-
-    def __repr__(self):
-        return f"AlgebraElement({[[str(e) for e in row] for row in self.entries]})"
+# -- finite commutability of matrices (the Def 3.5 playground) --------------------
 
 
 def nilpotency_index(x: AlgebraElement) -> int:

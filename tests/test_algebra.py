@@ -1,11 +1,11 @@
-"""Exact arithmetic substrate: Gaussian rationals and sparse polynomials."""
+"""Exact arithmetic substrate: Gaussian rationals, sparse polynomials and matrices over them."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from acderiv.algebra import GaussRational, PolyScalar
+from acderiv.algebra import AlgebraElement, GaussRational, PolyScalar
 
 
 def rand_gauss(rng):
@@ -213,3 +213,48 @@ def test_exponent_packing_round_trip():
     p = PolyScalar.monomial(Fraction(5, 3), exps, 4)
     assert p.total_degree() == 22
     assert p.coefficient(exps) == GaussRational(Fraction(5, 3))
+
+
+# -- AlgebraElement ----------------------------------------------------------
+
+
+def naive_product(a, b, zero):
+    dim = len(a)
+    return [
+        [sum((a[i][k] * b[k][j] for k in range(dim)), zero) for j in range(dim)]
+        for i in range(dim)
+    ]
+
+
+@pytest.mark.parametrize("ring", ["gauss", "poly"])
+def test_matrix_product_matches_the_triple_loop(ring):
+    rng = random.Random(31)
+    if ring == "gauss":
+        zero, pool = GaussRational(0), [rand_gauss(rng) for _ in range(4)]
+    else:
+        zero, pool = PolyScalar.zero(4), [rand_poly(rng, n_terms=2) for _ in range(4)]
+
+    def entry():
+        # a small pool repeats values, so equal entry pairs are multiplied too
+        return rng.choice(pool) if rng.random() < 0.6 else zero
+
+    for dim in (1, 2, 3, 4):
+        for _ in range(6):
+            a = [[entry() for _ in range(dim)] for _ in range(dim)]
+            b = [[entry() for _ in range(dim)] for _ in range(dim)]
+            product = AlgebraElement(a) * AlgebraElement(b)
+            assert product == AlgebraElement(naive_product(a, b, zero))
+            assert all(isinstance(e, type(zero)) for row in product.entries for e in row)
+
+
+def test_matrix_entries_come_from_one_ring():
+    one = PolyScalar.one(2)
+    poly = AlgebraElement([[one, PolyScalar.zero(2)], [PolyScalar.variable(0, 2), one]])
+    assert poly[1][0] == PolyScalar.variable(0, 2)
+    assert poly.scale(Fraction(1, 2))[0][0] == PolyScalar.constant(Fraction(1, 2), 2)
+    with pytest.raises(TypeError):
+        AlgebraElement([[one, 0], [0, one]])
+    constant = AlgebraElement([[1, Fraction(1, 2)], [0, GaussRational(0, 1)]])
+    assert constant[0][1] == GaussRational(Fraction(1, 2)) and constant[1][0] == GaussRational(0)
+    with pytest.raises(ValueError):
+        AlgebraElement([[1, 0], [0]])

@@ -3,6 +3,8 @@
 import pytest
 
 from acderiv import (
+    AlgebraElement,
+    Chart,
     bidegree_split,
     builtin_twisted_chart,
     make_standard_chart,
@@ -11,12 +13,23 @@ from acderiv import (
     torsion_form,
 )
 from acderiv.algebra import GaussRational, PolyScalar
-from acderiv.chart import mat_eq, mat_identity, mat_mul, mat_scale, mat_zero
 from fractions import Fraction
 
 
+def poly_matrix(dim, entries=()):
+    """dim x dim polynomial matrix in dim variables, zero except for {(i, j): value}."""
+    entries = dict(entries)
+    return AlgebraElement(
+        [[entries.get((i, j), PolyScalar.zero(dim)) for j in range(dim)] for i in range(dim)]
+    )
+
+
+def identity(dim):
+    return poly_matrix(dim, {(i, i): PolyScalar.one(dim) for i in range(dim)})
+
+
 def minus_identity(dim):
-    return mat_scale(mat_identity(dim, dim), -1)
+    return identity(dim).scale(-1)
 
 
 def test_standard_chart_n1_matrix():
@@ -33,7 +46,7 @@ def test_standard_chart_n2_block_diagonal():
     assert ch.J[3][2] == PolyScalar.constant(1, 4)
     assert ch.J[2][3] == PolyScalar.constant(-1, 4)
     assert ch.J[2][0].is_zero() and ch.J[0][2].is_zero()
-    assert mat_eq(mat_mul(ch.J, ch.J), minus_identity(4))
+    assert ch.J * ch.J == minus_identity(4)
 
 
 def test_standard_chart_rejects_n0():
@@ -42,34 +55,46 @@ def test_standard_chart_rejects_n0():
 
 
 def test_twisted_chart_zero_twist_is_standard():
-    n = mat_zero(4, 4)
+    n = [[PolyScalar.zero(4)] * 4 for _ in range(4)]
     ch = make_twisted_chart(2, n)
-    assert mat_eq(ch.J, make_standard_chart(2).J)
+    assert ch.J == make_standard_chart(2).J
 
 
 def test_twisted_chart_squares_to_minus_identity():
     ch = builtin_twisted_chart(2)
     assert any(not ch.J[i][j].is_zero() and ch.J[i][j].total_degree() > 0
                for i in range(4) for j in range(4))
-    assert mat_eq(mat_mul(ch.J, ch.J), minus_identity(4))
+    assert ch.J * ch.J == minus_identity(4)
 
 
 def test_single_entry_twists_square_to_minus_identity():
     # any strictly-triangular polynomial twist keeps J*J = -I exactly; the
     # x4 twist is also secretly integrable, which is why the builtin pins x1
-    n = mat_zero(4, 4)
+    n = [[PolyScalar.zero(4)] * 4 for _ in range(4)]
     n[0][2] = PolyScalar.variable(3, 4)
     ch = make_twisted_chart(2, n)
-    assert mat_eq(mat_mul(ch.J, ch.J), minus_identity(4))
+    assert ch.J * ch.J == minus_identity(4)
     assert nijenhuis_tensor(ch).is_zero()
     assert not nijenhuis_tensor(builtin_twisted_chart(2)).is_zero()
 
 
 def test_twisted_chart_requires_strict_triangularity():
-    n = mat_zero(4, 4)
+    n = [[PolyScalar.zero(4)] * 4 for _ in range(4)]
     n[2][0] = PolyScalar.variable(0, 4)
     with pytest.raises(ValueError):
         make_twisted_chart(2, n)
+
+
+def test_chart_rejects_a_polynomial_J_that_does_not_square_to_minus_identity():
+    x1 = PolyScalar.variable(0, 2)
+    one = PolyScalar.one(2)
+    # J0 plus x1 on the diagonal: J*J = -I + 2*x1*J0 + x1^2*I
+    with pytest.raises(ValueError, match="J\\*J != -I"):
+        Chart(1, poly_matrix(2, {(0, 0): x1, (0, 1): -one, (1, 0): one, (1, 1): x1}))
+    with pytest.raises(ValueError, match="J\\*J != -I"):
+        Chart(2, identity(4))
+    # the same J without x1 is the standard structure and passes
+    assert Chart(1, poly_matrix(2, {(0, 1): -one, (1, 0): one})).J == make_standard_chart(1).J
 
 
 def test_builtin_twisted_rejects_n1():
@@ -93,14 +118,12 @@ def test_projector_identities(chart_name, std1, std2, twisted2):
     chart = {"standard:1": std1, "standard:2": std2, "twisted:2": twisted2}[chart_name]
     proj = chart.projectors()
     dim = chart.dim
-    ident = mat_identity(dim, dim)
-    add = [[proj.P10[i][j] + proj.P01[i][j] for j in range(dim)] for i in range(dim)]
-    assert mat_eq(add, ident)
-    assert mat_eq(mat_mul(proj.P10, proj.P10), proj.P10)
-    assert mat_eq(mat_mul(proj.P01, proj.P01), proj.P01)
-    assert mat_eq(mat_mul(proj.P10, proj.P01), mat_zero(dim, dim))
-    conj_p10 = [[e.conjugate() for e in row] for row in proj.P10]
-    assert mat_eq(conj_p10, proj.P01)
+    assert proj.P10 + proj.P01 == identity(dim)
+    assert proj.P10 * proj.P10 == proj.P10
+    assert proj.P01 * proj.P01 == proj.P01
+    assert proj.P10 * proj.P01 == poly_matrix(dim)
+    conj_p10 = AlgebraElement([[e.conjugate() for e in row] for row in proj.P10.entries])
+    assert conj_p10 == proj.P01
 
 
 def test_torsion_vanishes_on_standard_charts(std1, std2):

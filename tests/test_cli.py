@@ -106,13 +106,17 @@ def test_unknown_config_field_rejected(tmp_path):
     [
         ("rank", "two"), ("rank", 2.7), ("degree", "2"), ("degree", True), ("parallel", "false"), ("parallel", 1),
         ("seed", None), ("seed", 1.5), ("seed", True), ("seed", [1]), ("seed", [1, 2]), ("seed", {}), ("seed", {"a": 1}),
+        ("out", True), ("out", 5), ("out", ["r.json"]), ("chart", 5), ("chart", ["standard:1"]),
+        ("ids", [1]), ("ids", ["EQ2.3", None]), ("ids", 3),
     ],
 )
-def test_config_file_values_of_the_wrong_type_are_rejected(tmp_path, capsys, field, value):
+def test_config_file_values_of_the_wrong_type_are_rejected(tmp_path, monkeypatch, capsys, field, value):
+    monkeypatch.chdir(tmp_path)
     config = tmp_path / "typed.json"
     config.write_text(json.dumps({"chart": "standard:1", "ids": ["EQ2.3"], field: value}))
     assert run_cli(["--config", str(config)]) == cli.USAGE_ERROR
-    assert field in capsys.readouterr().err
+    assert f"{field} must be" in capsys.readouterr().err
+    assert [path.name for path in tmp_path.iterdir()] == ["typed.json"]
 
 
 @pytest.mark.parametrize("value, seed", [("alpha", "alpha"), ("12", 12), (-3, -3)])

@@ -306,6 +306,15 @@ def test_bidegree_split_errors(twisted2):
         bidegree_split(phi, 0, 1)  # vector form needs a value side
 
 
+@pytest.mark.parametrize("side", ["1, 0", "holomorphic", "0,1 ", None])
+def test_value_projected_rejects_unknown_sides(twisted2, side):
+    phi = random_form(twisted2, (0, 1), "1,0", 1, "side")
+    with pytest.raises(ValueError, match="value side"):
+        phi.value_projected(side)
+    with pytest.raises(ValueError, match="value side"):
+        bidegree_split(phi, 0, 1, side)
+
+
 # -- conjugation ---------------------------------------------------------------
 
 
