@@ -33,20 +33,37 @@ class Projectors:
 
 
 class Chart:
-    """R^(2n) with a polynomial matrix field J satisfying J*J = -I identically."""
+    """R^(2n) with a polynomial matrix field J satisfying J*J = -I identically.
 
-    def __init__(self, n: int, J: AlgebraElement, name: str = "custom"):
+    frame is None or a pair (A, A^{-1}) of polynomial matrices: the frame
+    e'_b = sum_k A[k][b] e_k, dual to the coframe theta^b with
+    dx^k = sum_b A[k][b] theta^b.  Tensorial operations may be evaluated in
+    it (forms.to_frame, forms.from_frame); a twisted chart's frame is
+    A = I + N, in which J is the constant J0.
+    """
+
+    def __init__(
+        self,
+        n: int,
+        J: AlgebraElement,
+        name: str = "custom",
+        frame: tuple[AlgebraElement, AlgebraElement] | None = None,
+    ):
         if n < 1:
             raise ValueError("complex dimension must be >= 1")
         self.n = n
         self.dim = 2 * n
         self.J = J
         self.name = name
+        self.frame = frame
         self._projectors: Projectors | None = None
         self._torsion = None
         self._coframe_cache: dict = {}
-        if J * J != -_poly_identity(self.dim):
+        ident = _poly_identity(self.dim)
+        if J * J != -ident:
             raise ValueError("J*J != -I: not an almost complex structure")
+        if frame is not None and frame[0] * frame[1] != ident:
+            raise ValueError("A*A^{-1} != I: not a frame")
 
     def projectors(self) -> Projectors:
         if self._projectors is None:
@@ -82,7 +99,7 @@ def make_twisted_chart(n: int, N: Sequence[Sequence[PolyScalar]], name: str | No
     N is given as nested lists of PolyScalar in 2n variables.  N is
     nilpotent, so (I+N)^{-1} is the finite sum I - N + N^2 - ... up to
     N^{2n-1}, and the unipotent conjugation keeps J*J = -I exact with
-    polynomial entries.
+    polynomial entries.  The chart keeps (I+N, (I+N)^{-1}) as its frame.
     """
     if n < 1:
         raise ValueError("complex dimension must be >= 1")
@@ -97,8 +114,9 @@ def make_twisted_chart(n: int, N: Sequence[Sequence[PolyScalar]], name: str | No
     for _ in range(dim - 1):
         term = -(term * N)
         inverse = inverse + term
-    J = (ident + N) * make_standard_chart(n).J * inverse
-    return Chart(n, J, name=name or f"twisted:{n}")
+    A = ident + N
+    J = A * make_standard_chart(n).J * inverse
+    return Chart(n, J, name=name or f"twisted:{n}", frame=(A, inverse))
 
 
 def builtin_twisted_chart(n: int) -> Chart:

@@ -315,16 +315,7 @@ class VectorForm:
             raise ValueError(f'value side must be "1,0" or "0,1", got {side!r}')
         proj = self.chart.projectors()
         mat = proj.P10 if side == "1,0" else proj.P01
-        comps = []
-        for row in mat.entries:
-            items = (
-                (key, 1, f, row[a])
-                for a, comp in enumerate(self.comps)
-                if row[a]
-                for key, f in comp.terms.items()
-            )
-            comps.append(ScalarForm(self.chart, _accumulate({}, items)))
-        return VectorForm(self.chart, self.degree, comps)
+        return VectorForm(self.chart, self.degree, _matrix_times(self.chart, mat, self.comps))
 
     def __eq__(self, other):
         if not isinstance(other, VectorForm):
@@ -343,6 +334,20 @@ class VectorForm:
             f"[{str(c)}] (x) e{a + 1}" for a, c in enumerate(self.comps) if not c.is_zero()
         ]
         return " + ".join(parts) if parts else "0"
+
+
+def _matrix_times(chart: "Chart", mat, comps: Sequence[ScalarForm]) -> list:
+    """[sum_a mat[b][a] * comps[a] for each row b] for a polynomial matrix mat."""
+    out = []
+    for row in mat.entries:
+        items = (
+            (key, 1, f, row[a])
+            for a, comp in enumerate(comps)
+            if row[a]
+            for key, f in comp.terms.items()
+        )
+        out.append(ScalarForm(chart, _accumulate({}, items)))
+    return out
 
 
 class BundleForm:
@@ -632,6 +637,74 @@ def bidegree_split(form, p: int, q: int, value_side: str | None = None):
         )
         return slots.value_projected(value_side)
     raise TypeError(f"cannot bidegree-split {type(form).__name__}")
+
+
+# -- the chart's frame -------------------------------------------------------------
+
+
+def _coframe_image(chart: "Chart", key: tuple, inward: bool) -> tuple:
+    """Items (index key, sign, coefficient) of one basis form written in the other coframe.
+
+    Inward, dx^key is written in the frame's coframe by substituting each
+    slot k by sum_b A[k][b] theta^b; outward, theta^key is written in dx by
+    the rows of A^{-1}.  A coefficient 1 or -1 is kept as its sign and None,
+    so that it costs no product.  Memoised in chart._coframe_cache.
+    """
+    cache_key = ("frame", key, inward)
+    cached = chart._coframe_cache.get(cache_key)
+    if cached is not None:
+        return cached
+    mat = chart.frame[0 if inward else 1]
+    image = ScalarForm.constant(chart, 1)
+    for k in key:
+        image = image.wedge(ScalarForm(chart, {(b,): c for b, c in enumerate(mat[k]) if c}))
+    one = PolyScalar.one(chart.dim)
+    units = {one: 1, -one: -1}
+    items = tuple(
+        (image_key, units[c], None) if c in units else (image_key, 1, c)
+        for image_key, c in image.terms.items()
+    )
+    chart._coframe_cache[cache_key] = items
+    return items
+
+
+def _substitute_coframe(alpha: ScalarForm, inward: bool) -> ScalarForm:
+    chart = alpha.chart
+    items = (
+        (image_key, sign, f, c)
+        for key, f in alpha.terms.items()
+        for image_key, sign, c in _coframe_image(chart, key, inward)
+    )
+    return ScalarForm(chart, _accumulate({}, items))
+
+
+def _change_frame(form, inward: bool):
+    chart = form.chart
+    if chart.frame is None:
+        return form
+    if isinstance(form, ScalarForm):
+        return _substitute_coframe(form, inward)
+    comps = [_substitute_coframe(c, inward) for c in form.comps]
+    if isinstance(form, BundleForm):
+        return BundleForm(chart, comps)
+    values = chart.frame[1 if inward else 0]
+    return VectorForm(chart, form.degree, _matrix_times(chart, values, comps))
+
+
+def to_frame(form):
+    """A scalar, vector or bundle form written in its chart's frame; form itself if there is none.
+
+    Each dx^k becomes sum_b A[k][b] theta^b, and a vector form's values move
+    by A^{-1} (e_a = sum_b A^{-1}[b][a] e'_b).  The result keeps its type and
+    chart; its index keys and value axes now count theta^b and e'_b.  Wedge
+    and interior are tensorial, so they commute with the change; d does not.
+    """
+    return _change_frame(form, True)
+
+
+def from_frame(form):
+    """The inverse of to_frame: theta^b = sum_k A^{-1}[b][k] dx^k, values by A."""
+    return _change_frame(form, False)
 
 
 def conjugate_form(form):

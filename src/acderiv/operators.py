@@ -28,8 +28,10 @@ from .forms import (
     ScalarForm,
     VectorForm,
     bidegree_split_scalar,
+    from_frame,
     interior,
     random_scalar_form,
+    to_frame,
 )
 
 
@@ -235,14 +237,20 @@ def series(x, step, count: int, shift: int = 0):
     The one finite expansion behind the exponentials, the Theorem 3.8 bracket
     sums and the matrix closed forms.  Stopping early is exact because every
     step in use is linear, so step^j(x) = 0 kills all later terms.
+    The weight 1/(j + shift)! is applied only where it is not 1.
     """
-    out = x.scale(Fraction(1, factorial(shift))) if shift else x
+
+    def weighted(power, j: int):
+        weight = factorial(j + shift)
+        return power.scale(Fraction(1, weight)) if weight > 1 else power
+
+    out = weighted(x, 0)
     power = x
     for j in range(1, count + 1):
         power = step(power)
         if power.is_zero():
             break
-        out = out + power.scale(Fraction(1, factorial(j + shift)))
+        out = out + weighted(power, j)
     return out
 
 
@@ -278,18 +286,25 @@ def exp_interior(phi: VectorForm) -> Tuple[DerivationOp, DerivationOp]:
     nilpotency order n+1.
 
     The truncation is exact only if (i_phi)^{n+1} = 0; that is certified here,
-    once per call, and NotNilpotentError is raised when it fails.
+    once per call, and NotNilpotentError is raised when it fails.  Both series
+    run in the chart's frame (forms.to_frame), where i_phi is the same
+    tensorial operation: phi is moved there once, each input is moved in and
+    its image back out.  In a twisted chart's frame J is constant, so the
+    coefficients of a phi of type (0,1) valued in T^{1,0} fall into n^2
+    proportional blocks, as on a standard chart, and interior multiplies once
+    per block.
     """
     if phi.degree != 1:
         raise ValueError("exponential conjugation needs a form-degree-1 argument")
     order = phi.chart.n
     _require_nilpotent(phi, order)
+    phi_frame = to_frame(phi)
 
     def exp_op(K: VectorForm, tag: str) -> DerivationOp:
         step = interior_op(K).action
-        return DerivationOp(0, lambda u: series(u, step, order), tag)
+        return DerivationOp(0, lambda u: from_frame(series(to_frame(u), step, order)), tag)
 
-    return exp_op(phi, "e^{i_φ}"), exp_op(-phi, "e^{-i_φ}")
+    return exp_op(phi_frame, "e^{i_φ}"), exp_op(-phi_frame, "e^{-i_φ}")
 
 
 def conjugate_operator(op: DerivationOp, phi: VectorForm) -> DerivationOp:

@@ -1,0 +1,100 @@
+"""The chart's frame: exact coframe changes, and e^{±i_phi} evaluated in the frame."""
+
+import random
+
+import pytest
+
+from acderiv import exp_interior, make_standard_chart, make_twisted_chart, random_form
+from acderiv.algebra import PolyScalar
+from acderiv.forms import (
+    ScalarForm,
+    from_frame,
+    random_bundle_form,
+    random_scalar_form,
+    random_vector_form,
+    to_frame,
+    vector_one_form_from_matrix,
+)
+from acderiv.operators import generator_family, interior_op, series
+from acderiv.verifier import parse_chart_name
+
+
+def three_entry_twist():
+    """twisted by N[0][1] = 2, N[0][2] = x1 + x2^2, N[1][3] = 3 x3."""
+    zero = PolyScalar.zero(4)
+    x = [PolyScalar.variable(a, 4) for a in range(4)]
+    N = [[zero] * 4 for _ in range(4)]
+    N[0][1] = PolyScalar.constant(2, 4)
+    N[0][2] = x[0] + x[1] * x[1]
+    N[1][3] = x[2].scale(3)
+    return make_twisted_chart(2, N, name="three-entry")
+
+
+CHARTS = {
+    "twisted:2": lambda: parse_chart_name("twisted:2"),
+    "twisted:3": lambda: parse_chart_name("twisted:3"),
+    "three-entry": three_entry_twist,
+}
+
+
+@pytest.fixture(scope="module", params=sorted(CHARTS))
+def framed(request):
+    return CHARTS[request.param]()
+
+
+def random_forms(chart, seed):
+    """Random scalar, vector and rank-2 bundle forms of every degree."""
+    rng = random.Random(seed)
+    for degree in range(chart.dim + 1):
+        yield random_scalar_form(chart, degree, 2, rng)
+        yield random_vector_form(chart, degree, 1, rng)
+        yield random_bundle_form(chart, 2, degree, 1, rng)
+
+
+def test_from_frame_inverts_to_frame(framed):
+    for form in random_forms(framed, "frame-round-trip"):
+        assert from_frame(to_frame(form)) == form
+        assert to_frame(from_frame(form)) == form
+
+
+def test_to_frame_moves_J_to_the_constant_J0(framed):
+    # J as the vector 1-form sum J[b][a] dx^a (x) e_b is sum J0[b][a] theta^a (x) e'_b
+    J0 = make_standard_chart(framed.n).J
+    J_form = vector_one_form_from_matrix(framed, framed.J)
+    assert J_form != vector_one_form_from_matrix(framed, J0)
+    assert to_frame(J_form) == vector_one_form_from_matrix(framed, J0)
+
+
+def test_frameless_maps_return_their_input():
+    chart = make_standard_chart(2)
+    rng = random.Random("frameless")
+    for form in (
+        random_scalar_form(chart, 2, 2, rng),
+        random_vector_form(chart, 1, 2, rng),
+        random_bundle_form(chart, 2, 1, 2, rng),
+    ):
+        assert to_frame(form) is form
+        assert from_frame(form) is form
+
+
+@pytest.mark.parametrize("chart_name", ["standard:2", *sorted(CHARTS)])
+def test_exp_in_the_frame_equals_the_coordinate_series(chart_name):
+    chart = make_standard_chart(2) if chart_name == "standard:2" else CHARTS[chart_name]()
+    phi = random_form(chart, (0, 1), "1,0", 2, f"frame-exp-{chart_name}")
+    assert not phi.is_zero()
+    exp_plus, exp_minus = exp_interior(phi)
+    rng = random.Random(f"frame-probes-{chart_name}")
+    probes = [u for _, u in generator_family(chart, 1)]
+    probes += [random_bundle_form(chart, 2, degree, 1, rng) for degree in range(chart.dim + 1)]
+    for op, K in ((exp_plus, phi), (exp_minus, -phi)):
+        step = interior_op(K).action
+        for u in probes:
+            assert op(u) == series(u, step, chart.n)
+
+
+def test_coframe_images_are_memoised(framed):
+    dx1 = ScalarForm.basis_covector(framed, 0)
+    first = to_frame(dx1)
+    cached = len(framed._coframe_cache)
+    assert to_frame(dx1) == first != dx1
+    assert len(framed._coframe_cache) == cached
