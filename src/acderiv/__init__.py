@@ -9,7 +9,6 @@ derivation algebra as identically-zero polynomial residuals.
 from .algebra import AlgebraElement, GaussRational, PolyScalar
 from .chart import (
     Chart,
-    Projectors,
     builtin_twisted_chart,
     make_standard_chart,
     make_twisted_chart,
@@ -55,7 +54,6 @@ __all__ = [
     "PolyScalar",
     "AlgebraElement",
     "Chart",
-    "Projectors",
     "make_standard_chart",
     "make_twisted_chart",
     "builtin_twisted_chart",

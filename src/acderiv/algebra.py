@@ -30,6 +30,9 @@ class GaussRational:
             self.bn = im
             self.d = 1
             return
+        for part in (re, im):
+            if not isinstance(part, (int, Fraction)):
+                raise TypeError(f"cannot interpret {type(part).__name__} as a rational part")
         re = Fraction(re)
         im = Fraction(im)
         dr, di = re.denominator, im.denominator

@@ -22,16 +22,6 @@ def _poly_identity(dim: int) -> AlgebraElement:
     )
 
 
-class Projectors:
-    """P10 = (I - iJ)/2 and P01 = (I + iJ)/2 onto T^{1,0} and T^{0,1}."""
-
-    __slots__ = ("P10", "P01")
-
-    def __init__(self, P10: AlgebraElement, P01: AlgebraElement):
-        self.P10 = P10
-        self.P01 = P01
-
-
 class Chart:
     """R^(2n) with a polynomial matrix field J satisfying J*J = -I identically.
 
@@ -56,7 +46,7 @@ class Chart:
         self.J = J
         self.name = name
         self.frame = frame
-        self._projectors: Projectors | None = None
+        self._projectors: dict[str, AlgebraElement] = {}
         self._torsion = None
         self._coframe_cache: dict = {}
         ident = _poly_identity(self.dim)
@@ -65,12 +55,15 @@ class Chart:
         if frame is not None and frame[0] * frame[1] != ident:
             raise ValueError("A*A^{-1} != I: not a frame")
 
-    def projectors(self) -> Projectors:
-        if self._projectors is None:
+    def projector(self, side: str) -> AlgebraElement:
+        """P10 = (I - iJ)/2 onto T^{1,0} (side "1,0") or P01 = (I + iJ)/2 onto T^{0,1} ("0,1")."""
+        if side not in ("1,0", "0,1"):
+            raise ValueError(f'value side must be "1,0" or "0,1", got {side!r}')
+        if not self._projectors:
             half = _poly_identity(self.dim).scale(GR_HALF)
             half_iJ = self.J.scale(GaussRational(0, Fraction(1, 2)))
-            self._projectors = Projectors(half - half_iJ, half + half_iJ)
-        return self._projectors
+            self._projectors = {"1,0": half - half_iJ, "0,1": half + half_iJ}
+        return self._projectors[side]
 
     def torsion(self):
         if self._torsion is None:
@@ -163,8 +156,8 @@ def torsion_form(chart: Chart):
     from .forms import ScalarForm, VectorForm
 
     dim = chart.dim
-    proj = chart.projectors()
-    p10_cols = [[proj.P10[b][a] for b in range(dim)] for a in range(dim)]
+    P10, P01 = chart.projector("1,0"), chart.projector("0,1")
+    p10_cols = [[P10[b][a] for b in range(dim)] for a in range(dim)]
     comp_terms: List[dict] = [dict() for _ in range(dim)]
     for a in range(dim):
         for b in range(a + 1, dim):
@@ -172,7 +165,7 @@ def torsion_form(chart: Chart):
             for c in range(dim):
                 acc = ProductSum(dim)
                 for r in range(dim):
-                    acc.add(1, proj.P01[c][r], bracket[r])
+                    acc.add(1, P01[c][r], bracket[r])
                 val = acc.total()
                 if val:
                     comp_terms[c][(a, b)] = val

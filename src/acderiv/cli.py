@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import List, Optional, Sequence
 
 from .verifier import (
@@ -79,8 +79,7 @@ def _load_config_file(path: str) -> dict:
         raise ConfigError(f"malformed JSON in {path} (line {exc.lineno}, column {exc.colno})") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
-    allowed = {"chart", "rank", "degree", "seed", "ids", "out", "parallel"}
-    unknown = set(raw) - allowed
+    unknown = set(raw) - {field.name for field in fields(RunConfig)}
     if unknown:
         raise ConfigError(f"unknown config fields in {path}: {sorted(unknown)}")
     return raw
@@ -121,10 +120,10 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     values: dict = {}
     if args.config:
         values.update(_load_config_file(args.config))
-    for key in ("chart", "rank", "degree", "seed", "ids", "out", "parallel"):
-        flag = getattr(args, key)
+    for field in fields(RunConfig):
+        flag = getattr(args, field.name)
         if flag is not None:
-            values[key] = flag
+            values[field.name] = flag
     config = RunConfig()
     if "chart" in values:
         config.chart = _string(values, "chart")

@@ -311,10 +311,7 @@ class VectorForm:
 
     def value_projected(self, side: str) -> "VectorForm":
         """Project the tangent value onto T^{1,0} (side "1,0") or T^{0,1} ("0,1")."""
-        if side not in ("1,0", "0,1"):
-            raise ValueError(f'value side must be "1,0" or "0,1", got {side!r}')
-        proj = self.chart.projectors()
-        mat = proj.P10 if side == "1,0" else proj.P01
+        mat = self.chart.projector(side)
         return VectorForm(self.chart, self.degree, _matrix_times(self.chart, mat, self.comps))
 
     def __eq__(self, other):
@@ -559,44 +556,61 @@ def fn_bracket(K: VectorForm, L: VectorForm) -> VectorForm:
     return VectorForm(chart, K.degree + L.degree, comps)
 
 
+# -- coframe substitutions ----------------------------------------------------------
+
+
+def _row_form(chart: "Chart", row) -> ScalarForm:
+    """One matrix row as the 1-form sum_c row[c] dx^c."""
+    return ScalarForm(chart, {(c,): entry for c, entry in enumerate(row) if entry})
+
+
+def _wedge_rows(chart: "Chart", key: tuple, mats) -> ScalarForm:
+    """dx^key with slot pos replaced by row key[pos] of mats[pos], wedged in slot order."""
+    image = ScalarForm.constant(chart, 1)
+    for k, mat in zip(key, mats):
+        image = image.wedge(_row_form(chart, mat[k]))
+        if not image:
+            break
+    return image
+
+
+def _substitute(alpha: ScalarForm, tag, image) -> ScalarForm:
+    """alpha with each dx^key replaced by the form image(key), summed.
+
+    The images are pointwise linear in dx^key, so one substitution is exact
+    whatever alpha's coefficients.  Each is memoised in chart._coframe_cache
+    under (tag, key) as items (image key, sign, coefficient), a coefficient 1
+    or -1 kept as its sign and None, so that it costs no product.
+    """
+    if not alpha.terms:
+        return alpha
+    chart = alpha.chart
+    cache = chart._coframe_cache
+    items = []
+    for key, f in alpha.terms.items():
+        entry = cache.get((tag, key))
+        if entry is None:
+            one = PolyScalar.one(chart.dim)
+            units = {one: 1, -one: -1}
+            entry = cache[(tag, key)] = tuple(
+                (image_key, units[c], None) if c in units else (image_key, 1, c)
+                for image_key, c in image(key).terms.items()
+            )
+        for image_key, sign, c in entry:
+            items.append((image_key, sign, f, c))
+    return ScalarForm(chart, _accumulate({}, items))
+
+
 # -- bidegree machinery ---------------------------------------------------------
 
 
-def _projected_coframe(chart: "Chart", axis: int, side: str) -> ScalarForm:
-    """The (1,0) or (0,1) part of dx^axis: row `axis` of P10/P01 as a 1-form."""
-    key = ("coframe", axis, side)
-    cached = chart._coframe_cache.get(key)
-    if cached is not None:
-        return cached
-    proj = chart.projectors()
-    mat = proj.P10 if side == "1,0" else proj.P01
-    terms = {}
-    for c in range(chart.dim):
-        if mat[axis][c]:
-            terms[(c,)] = mat[axis][c]
-    form = ScalarForm(chart, terms)
-    chart._coframe_cache[key] = form
-    return form
-
-
-def _projected_basis_form(chart: "Chart", key: tuple, p: int) -> ScalarForm:
-    """Pi^{p,q}(dx^key): substitute each slot by its (1,0)/(0,1) part and collect."""
-    cache_key = ("piq", key, p)
-    cached = chart._coframe_cache.get(cache_key)
-    if cached is not None:
-        return cached
-    k = len(key)
+def _bidegree_image(chart: "Chart", key: tuple, p: int) -> ScalarForm:
+    """Pi^{p,q}(dx^key): each slot replaced by its (1,0) or (0,1) part, p slots (1,0)."""
+    P10, P01 = chart.projector("1,0"), chart.projector("0,1")
     out = ScalarForm.zero(chart)
-    for holo_slots in combinations(range(k), p):
-        holo = set(holo_slots)
-        factor = ScalarForm.constant(chart, 1)
-        for pos, axis in enumerate(key):
-            side = "1,0" if pos in holo else "0,1"
-            factor = factor.wedge(_projected_coframe(chart, axis, side))
-            if factor.is_zero():
-                break
-        out = out + factor
-    chart._coframe_cache[cache_key] = out
+    for holo in combinations(range(len(key)), p):
+        mats = [P10 if pos in holo else P01 for pos in range(len(key))]
+        out = out + _wedge_rows(chart, key, mats)
     return out
 
 
@@ -611,24 +625,24 @@ def bidegree_split_scalar(alpha: ScalarForm, p: int, q: int) -> ScalarForm:
     if alpha.degree() != p + q:
         raise ValueError(f"(p, q) = ({p}, {q}) does not match form degree {alpha.degree()}")
     chart = alpha.chart
-    items = (
-        (key, 1, f, coeff)
-        for basis_key, coeff in alpha.terms.items()
-        for key, f in _projected_basis_form(chart, basis_key, p).terms.items()
-    )
-    return ScalarForm(chart, _accumulate({}, items))
+    return _substitute(alpha, ("bidegree", p), lambda key: _bidegree_image(chart, key, p))
 
 
 def bidegree_split(form, p: int, q: int, value_side: str | None = None):
     """Project onto bidegree (p, q); vector forms additionally select the value side.
 
-    The pieces over all p+q = k sum back to the input, and the projection is
-    idempotent, both identically in the polynomial coefficients.
+    Bundle forms are projected componentwise.  The pieces over all p+q = k
+    sum back to the input, and the projection is idempotent, both
+    identically in the polynomial coefficients.
     """
     if isinstance(form, ScalarForm):
         if value_side is not None:
             raise ValueError("scalar forms have no tangent value to project")
         return bidegree_split_scalar(form, p, q)
+    if isinstance(form, BundleForm):
+        if value_side is not None:
+            raise ValueError("bundle forms have no tangent value to project")
+        return BundleForm(form.chart, [bidegree_split_scalar(c, p, q) for c in form.comps])
     if isinstance(form, VectorForm):
         slots = VectorForm(
             form.chart,
@@ -642,49 +656,19 @@ def bidegree_split(form, p: int, q: int, value_side: str | None = None):
 # -- the chart's frame -------------------------------------------------------------
 
 
-def _coframe_image(chart: "Chart", key: tuple, inward: bool) -> tuple:
-    """Items (index key, sign, coefficient) of one basis form written in the other coframe.
-
-    Inward, dx^key is written in the frame's coframe by substituting each
-    slot k by sum_b A[k][b] theta^b; outward, theta^key is written in dx by
-    the rows of A^{-1}.  A coefficient 1 or -1 is kept as its sign and None,
-    so that it costs no product.  Memoised in chart._coframe_cache.
-    """
-    cache_key = ("frame", key, inward)
-    cached = chart._coframe_cache.get(cache_key)
-    if cached is not None:
-        return cached
-    mat = chart.frame[0 if inward else 1]
-    image = ScalarForm.constant(chart, 1)
-    for k in key:
-        image = image.wedge(ScalarForm(chart, {(b,): c for b, c in enumerate(mat[k]) if c}))
-    one = PolyScalar.one(chart.dim)
-    units = {one: 1, -one: -1}
-    items = tuple(
-        (image_key, units[c], None) if c in units else (image_key, 1, c)
-        for image_key, c in image.terms.items()
-    )
-    chart._coframe_cache[cache_key] = items
-    return items
-
-
-def _substitute_coframe(alpha: ScalarForm, inward: bool) -> ScalarForm:
-    chart = alpha.chart
-    items = (
-        (image_key, sign, f, c)
-        for key, f in alpha.terms.items()
-        for image_key, sign, c in _coframe_image(chart, key, inward)
-    )
-    return ScalarForm(chart, _accumulate({}, items))
-
-
 def _change_frame(form, inward: bool):
     chart = form.chart
     if chart.frame is None:
         return form
+    mat = chart.frame[0 if inward else 1]
+    tag = ("frame", inward)
+
+    def image(key):
+        return _wedge_rows(chart, key, [mat] * len(key))
+
     if isinstance(form, ScalarForm):
-        return _substitute_coframe(form, inward)
-    comps = [_substitute_coframe(c, inward) for c in form.comps]
+        return _substitute(form, tag, image)
+    comps = [_substitute(c, tag, image) for c in form.comps]
     if isinstance(form, BundleForm):
         return BundleForm(chart, comps)
     values = chart.frame[1 if inward else 0]
@@ -717,14 +701,7 @@ def conjugate_form(form):
 
 def vector_one_form_from_matrix(chart: "Chart", mat) -> VectorForm:
     """The vector 1-form sum_{a,b} M[b][a] dx^a (x) e_b of an endomorphism field."""
-    comps = []
-    for b in range(chart.dim):
-        terms = {}
-        for a in range(chart.dim):
-            if mat[b][a]:
-                terms[(a,)] = mat[b][a]
-        comps.append(ScalarForm(chart, terms))
-    return VectorForm(chart, 1, comps)
+    return VectorForm(chart, 1, [_row_form(chart, mat[b]) for b in range(chart.dim)])
 
 
 def identity_vector_form(chart: "Chart") -> VectorForm:

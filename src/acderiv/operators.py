@@ -27,7 +27,7 @@ from .forms import (
     BundleForm,
     ScalarForm,
     VectorForm,
-    bidegree_split_scalar,
+    bidegree_split,
     from_frame,
     interior,
     random_scalar_form,
@@ -169,11 +169,9 @@ def _bundle_bidegree_parts(u: BundleForm):
     for comp in u.comps:
         degrees |= comp.degrees()
     for k in sorted(degrees):
+        part = BundleForm(u.chart, [c.degree_part(k) for c in u.comps])
         for p in range(k + 1):
-            piece = BundleForm(
-                u.chart,
-                [bidegree_split_scalar(c.degree_part(k), p, k - p) for c in u.comps],
-            )
+            piece = bidegree_split(part, p, k - p)
             if not piece.is_zero():
                 yield p, k - p, piece
 
@@ -196,9 +194,7 @@ def connection_split(conn: Connection):
             out = BundleForm.zero(u.chart, u.rank)
             for p, q, piece in _bundle_bidegree_parts(u):
                 image = conn.apply(piece)
-                out = out + BundleForm(
-                    u.chart, [bidegree_split_scalar(c, p + dp, q + dq) for c in image.comps]
-                )
+                out = out + bidegree_split(image, p + dp, q + dq)
             return out
 
         return act

@@ -20,7 +20,7 @@ from functools import cache
 from typing import Callable, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from .algebra import GaussRational
-from .chart import Chart, builtin_twisted_chart, make_standard_chart, nijenhuis_tensor
+from .chart import Chart, builtin_twisted_chart, make_standard_chart
 from .forms import (
     BundleForm,
     ScalarForm,
@@ -381,7 +381,7 @@ def _check_EQ23(ctx: _CheckContext):
     )
     residual = bracket - listed
     out = [("membership", [] if residual.is_zero() else [("off-list-part", residual)])]
-    if nijenhuis_tensor(ctx.chart).is_zero():
+    if ctx.chart.torsion().is_zero():
         for label, p, q, side in (
             ("integrable-(1,1)-part", 1, 1, "1,0"),
             ("integrable-(0,2)-conjugate-part", 0, 2, "0,1"),
@@ -600,7 +600,7 @@ def run_suite(config: "RunConfig") -> Tuple[List[IdentityReport], dict]:
         )
         for cid in ids
     ]
-    if getattr(config, "parallel", False) and len(specs) > 1:
+    if config.parallel and len(specs) > 1:
         import concurrent.futures
 
         with concurrent.futures.ProcessPoolExecutor() as pool:

@@ -38,6 +38,13 @@ def test_gauss_rational_field_ops():
     assert a.conjugate().conjugate() == a
 
 
+@pytest.mark.parametrize("re, im", [(0.1, 0), (0, 0.5), ("1/2", 0), (0, "1/2"), (1, None)])
+def test_gauss_rational_takes_only_exact_rational_parts(re, im):
+    # GaussRational(0.1) would store 3602879701896397/2^55, and 10 of it is not 1
+    with pytest.raises(TypeError):
+        GaussRational(re, im)
+
+
 def test_gauss_rational_division_by_zero():
     with pytest.raises(ZeroDivisionError):
         GaussRational(1) / GaussRational(0)

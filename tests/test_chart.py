@@ -126,26 +126,27 @@ def test_builtin_twisted_rejects_n1():
 
 def test_projectors_standard_n1_frozen():
     # P10 = 1/2 [[1, i], [-i, 1]] by direct matrix arithmetic
-    proj = make_standard_chart(1).projectors()
+    P10 = make_standard_chart(1).projector("1,0")
     half = GaussRational(Fraction(1, 2))
     half_i = GaussRational(0, Fraction(1, 2))
-    assert proj.P10[0][0] == PolyScalar.constant(half, 2)
-    assert proj.P10[0][1] == PolyScalar.constant(half_i, 2)
-    assert proj.P10[1][0] == PolyScalar.constant(-half_i, 2)
-    assert proj.P10[1][1] == PolyScalar.constant(half, 2)
+    assert P10[0][0] == PolyScalar.constant(half, 2)
+    assert P10[0][1] == PolyScalar.constant(half_i, 2)
+    assert P10[1][0] == PolyScalar.constant(-half_i, 2)
+    assert P10[1][1] == PolyScalar.constant(half, 2)
 
 
 @pytest.mark.parametrize("chart_name", ["standard:1", "standard:2", "twisted:2"])
 def test_projector_identities(chart_name, std1, std2, twisted2):
     chart = {"standard:1": std1, "standard:2": std2, "twisted:2": twisted2}[chart_name]
-    proj = chart.projectors()
+    P10, P01 = chart.projector("1,0"), chart.projector("0,1")
     dim = chart.dim
-    assert proj.P10 + proj.P01 == identity(dim)
-    assert proj.P10 * proj.P10 == proj.P10
-    assert proj.P01 * proj.P01 == proj.P01
-    assert proj.P10 * proj.P01 == poly_matrix(dim)
-    conj_p10 = AlgebraElement([[e.conjugate() for e in row] for row in proj.P10.entries])
-    assert conj_p10 == proj.P01
+    assert P10 + P01 == identity(dim)
+    assert P10 * P10 == P10
+    assert P01 * P01 == P01
+    assert P10 * P01 == poly_matrix(dim)
+    conj_p10 = AlgebraElement([[e.conjugate() for e in row] for row in P10.entries])
+    assert conj_p10 == P01
+    assert chart.projector("1,0") is P10  # memoised
 
 
 def test_torsion_vanishes_on_standard_charts(std1, std2):
@@ -174,9 +175,28 @@ def test_nijenhuis_twisted_nonzero(twisted2):
     assert not nijenhuis_tensor(twisted2).is_zero()
 
 
-def test_torsion_iff_nijenhuis(std2, twisted2):
-    for chart in (std2, twisted2):
-        assert torsion_form(chart).is_zero() == nijenhuis_tensor(chart).is_zero()
+def twist(n, entries):
+    """make_twisted_chart(n, N) with N zero except for {(i, j): entry}."""
+    dim = 2 * n
+    N = [[entries.get((i, j), PolyScalar.zero(dim)) for j in range(dim)] for i in range(dim)]
+    return make_twisted_chart(n, N)
+
+
+def test_torsion_iff_nijenhuis(std1, std2, twisted2):
+    x = [PolyScalar.variable(axis, 4) for axis in range(4)]
+    x4_twist = twist(2, {(0, 2): x[3]})  # secretly integrable
+    three_entry_twist = twist(
+        2, {(0, 1): PolyScalar.constant(2, 4), (0, 2): x[0] + x[1] * x[1], (1, 3): x[2].scale(3)}
+    )
+    for chart, integrable in (
+        (std1, True),
+        (std2, True),
+        (twisted2, False),
+        (builtin_twisted_chart(3), False),
+        (x4_twist, True),
+        (three_entry_twist, False),
+    ):
+        assert torsion_form(chart).is_zero() == nijenhuis_tensor(chart).is_zero() == integrable
 
 
 def test_torsion_tensoriality(twisted2):
@@ -185,21 +205,21 @@ def test_torsion_tensoriality(twisted2):
     from acderiv.chart import _lie_bracket_fields
 
     chart = twisted2
-    proj = chart.projectors()
+    P10, P01 = chart.projector("1,0"), chart.projector("0,1")
     dim = chart.dim
     f = PolyScalar.variable(1, dim) + PolyScalar.one(dim)
     a, b = 2, 3
-    col_a = [proj.P10[r][a] for r in range(dim)]
-    col_b = [proj.P10[r][b] for r in range(dim)]
+    col_a = [P10[r][a] for r in range(dim)]
+    col_b = [P10[r][b] for r in range(dim)]
     scaled_a = [f * entry for entry in col_a]
     bracket = _lie_bracket_fields(chart, scaled_a, col_b)
     plain = _lie_bracket_fields(chart, col_a, col_b)
     projected = [
-        sum((proj.P01[c][r] * bracket[r] for r in range(dim)), PolyScalar.zero(dim))
+        sum((P01[c][r] * bracket[r] for r in range(dim)), PolyScalar.zero(dim))
         for c in range(dim)
     ]
     plain_projected = [
-        sum((proj.P01[c][r] * plain[r] for r in range(dim)), PolyScalar.zero(dim))
+        sum((P01[c][r] * plain[r] for r in range(dim)), PolyScalar.zero(dim))
         for c in range(dim)
     ]
     assert projected == [f * entry for entry in plain_projected]

@@ -313,6 +313,22 @@ def test_value_projected_rejects_unknown_sides(twisted2, side):
         phi.value_projected(side)
     with pytest.raises(ValueError, match="value side"):
         bidegree_split(phi, 0, 1, side)
+    with pytest.raises(ValueError, match="value side"):
+        twisted2.projector(side)
+
+
+def test_bidegree_split_of_a_bundle_form_is_componentwise(twisted2):
+    rng = random.Random(79)
+    for deg in (1, 2, 3):
+        u = BundleForm(twisted2, [random_scalar_form(twisted2, deg, 2, rng) for _ in range(3)])
+        total = BundleForm.zero(twisted2, 3)
+        for p in range(deg + 1):
+            piece = bidegree_split(u, p, deg - p)
+            assert piece == BundleForm(twisted2, [bidegree_split(c, p, deg - p) for c in u.comps])
+            total = total + piece
+        assert total == u
+    with pytest.raises(ValueError, match="tangent value"):
+        bidegree_split(u, 1, 2, "1,0")
 
 
 # -- conjugation ---------------------------------------------------------------

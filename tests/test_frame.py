@@ -4,7 +4,14 @@ import random
 
 import pytest
 
-from acderiv import exp_interior, make_standard_chart, make_twisted_chart, random_form
+from acderiv import (
+    bidegree_split,
+    builtin_twisted_chart,
+    exp_interior,
+    make_standard_chart,
+    make_twisted_chart,
+    random_form,
+)
 from acderiv.algebra import PolyScalar
 from acderiv.forms import (
     ScalarForm,
@@ -98,3 +105,25 @@ def test_coframe_images_are_memoised(framed):
     cached = len(framed._coframe_cache)
     assert to_frame(dx1) == first != dx1
     assert len(framed._coframe_cache) == cached
+
+
+def test_frame_and_bidegree_images_do_not_share_memo_entries():
+    # both substitutions memoise dx^I images in one table, under different tags
+    def forms_of_every_degree(chart):
+        rng = random.Random("memo-tags")
+        return [random_scalar_form(chart, k, 1, rng) for k in range(chart.dim + 1)]
+
+    def frame_changes(chart):
+        return [(to_frame(a).terms, from_frame(a).terms) for a in forms_of_every_degree(chart)]
+
+    def splits(chart):
+        return [
+            bidegree_split(a, p, k - p).terms
+            for k, a in enumerate(forms_of_every_degree(chart))
+            for p in range(k + 1)
+        ]
+
+    frame_first, split_first = builtin_twisted_chart(2), builtin_twisted_chart(2)
+    frames, parts = frame_changes(frame_first), splits(frame_first)
+    assert splits(split_first) == parts
+    assert frame_changes(split_first) == frames
