@@ -194,16 +194,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0
     try:
         config = build_config(args)
-    except ConfigError as exc:
+        handle = open(config.out, "w", encoding="utf-8") if config.out else None
+    except (ConfigError, OSError) as exc:  # an --out that cannot be written, before any check runs
         print(f"config error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     reports, summary = run_suite(config)
     text = render_report(config, reports, summary)
-    if config.out:
-        with open(config.out, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
-    else:
+    if handle is None:
         print(text)
+    else:
+        with handle:
+            handle.write(text + "\n")
     for report in reports:
         extra = f" ({report.reason})" if report.status in ("skip", "error") else ""
         print(f"[{report.status.upper()}] {report.id} on {report.chart}{extra}", file=sys.stderr)

@@ -75,6 +75,13 @@ def _accumulate(out: dict, items) -> dict:
     return out
 
 
+def _factor(g: PolyScalar):
+    """(lam, h) with g = lam * h, lam the coefficient of g's lowest code: proportional g share h."""
+    an, bn = g.terms[min(g.terms)]
+    lam = GaussRational._raw(an, bn, g.den)
+    return lam, g.scale(GR_ONE / lam)
+
+
 class ScalarForm:
     """A complexified form: map from strictly increasing index tuples to PolyScalar.
 
@@ -256,20 +263,18 @@ class VectorForm:
     def coefficient_classes(self):
         """(rows, classes, span), built on first use and kept.
 
-        Each coefficient g is lam * h, with lam the coefficient of g's lowest
-        code, so two coefficients are proportional exactly when their h are
-        equal.  rows[a] lists (index key, g, class, lam) for the terms of
-        kappa^a; class indexes classes, which holds the h shared by two or
-        more coefficients, and is None for a g proportional to no other.
+        Each coefficient g is lam * h (_factor).  rows[a] lists (index key,
+        g, class, lam) for the terms of kappa^a; class indexes classes, which
+        holds the h shared by two or more coefficients, and is None for a g
+        proportional to no other.
         span is code_span of all coefficients.
         """
         if self._classes is None:
             flat, by_h = [], {}
             for axis, comp in enumerate(self.comps):
                 for key, g in comp.terms.items():
-                    an, bn = g.terms[min(g.terms)]
-                    lam = GaussRational._raw(an, bn, g.den)
-                    by_h.setdefault(g.scale(GR_ONE / lam), []).append(len(flat))
+                    lam, h = _factor(g)
+                    by_h.setdefault(h, []).append(len(flat))
                     flat.append((axis, key, g, lam))
             classes, class_of = [], {}
             for h, members in by_h.items():
@@ -574,31 +579,80 @@ def _wedge_rows(chart: "Chart", key: tuple, mats) -> ScalarForm:
     return image
 
 
-def _substitute(alpha: ScalarForm, tag, image) -> ScalarForm:
-    """alpha with each dx^key replaced by the form image(key), summed.
+class ImageTable(dict):
+    """key -> items (image key, kappa, p) of the image sum kappa * p dx^image key of dx^key.
 
-    The images are pointwise linear in dx^key, so one substitution is exact
-    whatever alpha's coefficients.  Each is memoised in chart._coframe_cache
-    under (tag, key) as items (image key, sign, coefficient), a coefficient 1
-    or -1 kept as its sign and None, so that it costs no product.
+    A coefficient of two or more terms is kappa * p (_factor), p interned
+    (equal p are one object); span is code_span of every such p.  A one-term
+    coefficient is p itself with kappa 1, or None with kappa 1 or -1 for 1
+    or -1.  A missing key is built from build(key), a form.
+    """
+
+    def __init__(self, build=None):
+        super().__init__()
+        self.build, self.pool, self.span = build, {}, 0
+
+    def factor(self, c: PolyScalar):
+        if len(c.terms) == 1:
+            pair = c.terms.get(0)
+            return (pair[0], None) if c.den == 1 and pair in ((1, 0), (-1, 0)) else (1, c)
+        kappa, p = _factor(c)
+        interned = self.pool.setdefault(p, p)
+        if interned is p:
+            self.span |= code_span((p,))
+        return kappa, interned
+
+    def __missing__(self, key):
+        image = self.build(key).terms.items()
+        items = self[key] = tuple((image_key, *self.factor(c)) for image_key, c in image)
+        return items
+
+
+def _substitute(alpha: ScalarForm, table: ImageTable) -> ScalarForm:
+    """alpha with each dx^key replaced by its image table[key], exact for any coefficients.
+
+    The f that meet one interned p at one image key are summed, sum kappa * f,
+    and multiplied by p once; a lone f is not summed.  A one-term coefficient
+    costs no more than that sum, so it is multiplied with each f (1 and -1
+    cost no product).  If a product of the table's codes with alpha's could
+    overflow, nothing is summed, so that ProductSum's guard sees every product.
     """
     if not alpha.terms:
         return alpha
-    chart = alpha.chart
-    cache = chart._coframe_cache
-    items = []
-    for key, f in alpha.terms.items():
-        entry = cache.get((tag, key))
-        if entry is None:
-            one = PolyScalar.one(chart.dim)
-            units = {one: 1, -one: -1}
-            entry = cache[(tag, key)] = tuple(
-                (image_key, units[c], None) if c in units else (image_key, 1, c)
-                for image_key, c in image(key).terms.items()
-            )
-        for image_key, sign, c in entry:
-            items.append((image_key, sign, f, c))
-    return ScalarForm(chart, _accumulate({}, items))
+    num_vars = alpha.chart.dim
+    rows = [(f, table[key]) for key, f in alpha.terms.items()]
+    grouped = not (
+        table.span and products_may_overflow(table.span, code_span(alpha.terms.values()), num_vars)
+    )
+    direct, sums = [], {}  # sums: (image key, p) -> [image key, p, kappa, f], or [.., None, ProductSum]
+    for f, items in rows:
+        for image_key, kappa, p in items:
+            if kappa.__class__ is int:
+                direct.append((image_key, kappa, f, p))
+            elif not grouped:
+                direct.append((image_key, 1, f, p.scale(kappa)))
+            elif (entry := sums.get((image_key, id(p)))) is None:
+                sums[image_key, id(p)] = [image_key, p, kappa, f]
+            else:
+                if entry[2] is not None:
+                    acc = ProductSum(num_vars)
+                    acc.add_multiple(entry[2], entry[3])
+                    entry[2:] = None, acc
+                entry[3].add_multiple(kappa, f)
+    direct.extend(map(_product_item, sums.values()))
+    return ScalarForm(alpha.chart, _accumulate({}, direct))
+
+
+_UNIT_SIGNS = {GR_ONE: 1, -GR_ONE: -1}
+
+
+def _product_item(entry):
+    """The _accumulate item (index key, sign, f, g) for one group of _substitute."""
+    image_key, p, kappa, f = entry
+    if kappa is None:
+        return image_key, 1, f.total(), p
+    sign = _UNIT_SIGNS.get(kappa)
+    return (image_key, sign, f, p) if sign else (image_key, 1, f, p.scale(kappa))
 
 
 # -- bidegree machinery ---------------------------------------------------------
@@ -625,7 +679,8 @@ def bidegree_split_scalar(alpha: ScalarForm, p: int, q: int) -> ScalarForm:
     if alpha.degree() != p + q:
         raise ValueError(f"(p, q) = ({p}, {q}) does not match form degree {alpha.degree()}")
     chart = alpha.chart
-    return _substitute(alpha, ("bidegree", p), lambda key: _bidegree_image(chart, key, p))
+    image = ImageTable(lambda key: _bidegree_image(chart, key, p))
+    return _substitute(alpha, chart._coframe_cache.setdefault(("bidegree", p), image))
 
 
 def bidegree_split(form, p: int, q: int, value_side: str | None = None):
@@ -661,14 +716,11 @@ def _change_frame(form, inward: bool):
     if chart.frame is None:
         return form
     mat = chart.frame[0 if inward else 1]
-    tag = ("frame", inward)
-
-    def image(key):
-        return _wedge_rows(chart, key, [mat] * len(key))
-
+    image = ImageTable(lambda key: _wedge_rows(chart, key, [mat] * len(key)))
+    table = chart._coframe_cache.setdefault(("frame", inward), image)
     if isinstance(form, ScalarForm):
-        return _substitute(form, tag, image)
-    comps = [_substitute(c, tag, image) for c in form.comps]
+        return _substitute(form, table)
+    comps = [_substitute(c, table) for c in form.comps]
     if isinstance(form, BundleForm):
         return BundleForm(chart, comps)
     values = chart.frame[1 if inward else 0]

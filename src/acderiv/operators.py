@@ -25,8 +25,10 @@ from .algebra import AlgebraElement, GaussRational, PolyScalar
 from .chart import Chart
 from .forms import (
     BundleForm,
+    ImageTable,
     ScalarForm,
     VectorForm,
+    _substitute,
     bidegree_split,
     from_frame,
     interior,
@@ -230,8 +232,8 @@ def lie_derivative(K: VectorForm, conn: Connection, flavor: str = "full") -> Der
 def series(x, step, count: int, shift: int = 0):
     """sum_{j<=count} step^j(x) / (j + shift)!, stopping at the first zero term.
 
-    The one finite expansion behind the exponentials, the Theorem 3.8 bracket
-    sums and the matrix closed forms.  Stopping early is exact because every
+    The one finite expansion behind the Theorem 3.8 bracket sums, the matrix
+    exponentials and closed forms.  Stopping early is exact because every
     step in use is linear, so step^j(x) = 0 kills all later terms.
     The weight 1/(j + shift)! is applied only where it is not 1.
     """
@@ -260,21 +262,33 @@ def vanishing_order(x, step, bound: int):
     return bound if power.is_zero() else None
 
 
-def _require_nilpotent(phi: VectorForm, order: int):
-    """Raise NotNilpotentError unless (i_phi)^(order+1) kills every constant basis form dx^I.
+def _exp_tables(phi: VectorForm, order: int) -> Tuple[ImageTable, ImageTable]:
+    """The images sum_{j<=order} s^j/j! (i_phi)^j dx^I of all basis forms, for s = 1 and s = -1.
 
-    i_phi is C^infinity-linear, so vanishing on the 2^dim forms dx^I is
-    vanishing on all forms.
+    Both come from one set of powers, each key stopping at its own first
+    zero power; an image key met at two orders keeps two items.
+    NotNilpotentError is raised if a power order+1 is nonzero: i_phi is
+    C^infinity-linear, so vanishing on the 2^dim basis forms is vanishing on
+    all forms.
     """
     chart = phi.chart
-    one = PolyScalar.one(chart.dim)
-    step = interior_op(phi).action
-    for degree in range(1, chart.dim + 1):
+    plus, minus = ImageTable(), ImageTable()
+    for degree in range(chart.dim + 1):
         for key in combinations(range(chart.dim), degree):
-            if vanishing_order(ScalarForm(chart, {key: one}), step, order + 1) is None:
-                raise NotNilpotentError(
-                    f"(i_phi)^{order + 1} does not vanish on the basis form of {key}"
-                )
+            items = []  # (image key, coefficient / j!, j odd)
+            power = ScalarForm(chart, {key: PolyScalar.one(chart.dim)})
+            for j in range(order + 1):
+                weight = Fraction(1, factorial(j))
+                items += [(k, c.scale(weight) if j > 1 else c, j % 2) for k, c in power.terms.items()]
+                power = interior(phi, power)
+                if not power:
+                    break
+            if power:
+                raise NotNilpotentError(f"(i_phi)^{order + 1} does not vanish on the basis form of {key}")
+            plus[key] = tuple((k, *plus.factor(c)) for k, c, _ in items)
+            minus[key] = tuple((k, *plus.factor(-c if odd else c)) for k, c, odd in items)
+    minus.span = plus.span
+    return plus, minus
 
 
 def exp_interior(phi: VectorForm) -> Tuple[DerivationOp, DerivationOp]:
@@ -282,25 +296,26 @@ def exp_interior(phi: VectorForm) -> Tuple[DerivationOp, DerivationOp]:
     nilpotency order n+1.
 
     The truncation is exact only if (i_phi)^{n+1} = 0; that is certified here,
-    once per call, and NotNilpotentError is raised when it fails.  Both series
-    run in the chart's frame (forms.to_frame), where i_phi is the same
-    tensorial operation: phi is moved there once, each input is moved in and
-    its image back out.  In a twisted chart's frame J is constant, so the
-    coefficients of a phi of type (0,1) valued in T^{1,0} fall into n^2
-    proportional blocks, as on a standard chart, and interior multiplies once
-    per block.
+    once per call, and NotNilpotentError is raised when it fails.  Both maps
+    are one substitution of the images of the basis forms (_exp_tables),
+    built once per call in the chart's frame (forms.to_frame): each input is
+    moved in and its image back out.  In a twisted chart's frame J is
+    constant, so a phi of type (0,1) valued in T^{1,0} has its coefficients
+    in n^2 proportional blocks, as on a standard chart, and the images have
+    few distinct coefficients up to a constant.
     """
     if phi.degree != 1:
         raise ValueError("exponential conjugation needs a form-degree-1 argument")
-    order = phi.chart.n
-    _require_nilpotent(phi, order)
-    phi_frame = to_frame(phi)
 
-    def exp_op(K: VectorForm, tag: str) -> DerivationOp:
-        step = interior_op(K).action
-        return DerivationOp(0, lambda u: from_frame(series(to_frame(u), step, order)), tag)
+    def exp_op(table: ImageTable, tag: str) -> DerivationOp:
+        def act(u: BundleForm) -> BundleForm:
+            u = to_frame(u)
+            return from_frame(BundleForm(u.chart, [_substitute(c, table) for c in u.comps]))
 
-    return exp_op(phi_frame, "e^{i_φ}"), exp_op(-phi_frame, "e^{-i_φ}")
+        return DerivationOp(0, act, tag)
+
+    plus, minus = _exp_tables(to_frame(phi), phi.chart.n)
+    return exp_op(plus, "e^{i_φ}"), exp_op(minus, "e^{-i_φ}")
 
 
 def conjugate_operator(op: DerivationOp, phi: VectorForm) -> DerivationOp:

@@ -75,6 +75,18 @@ def test_usage_error_on_bad_rank():
     assert run_cli(["--rank", "0", "--ids", "EQ2.3"]) == cli.USAGE_ERROR
 
 
+def test_usage_error_on_unwritable_out_before_any_check(tmp_path, monkeypatch, capsys):
+    def run_suite(config):
+        raise AssertionError("a check ran before the report path was found unwritable")
+
+    monkeypatch.setattr(cli, "run_suite", run_suite)
+    out = tmp_path / "missing" / "r.json"
+    assert run_cli(["--chart", "standard:1", "--ids", "EQ2.3", "--out", str(out)]) == cli.USAGE_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and str(out) in err
+    assert not out.parent.exists()
+
+
 def test_config_file_with_flag_override(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"chart": "standard:2", "rank": 1, "ids": ["EQ2.3"], "seed": 5}))

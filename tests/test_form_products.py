@@ -18,7 +18,7 @@ import pytest
 
 from acderiv import VectorForm, interior, random_form, wedge
 from acderiv.algebra import GaussRational, PolyScalar, ProductSum
-from acderiv.forms import BundleForm, ScalarForm, bidegree_split_scalar
+from acderiv.forms import BundleForm, ImageTable, ScalarForm, _substitute, bidegree_split_scalar
 
 BIG = 2**14  # x1^BIG * x1^BIG reaches the 2^15 guard bit of a 16-bit field
 
@@ -271,3 +271,16 @@ def test_grouped_products_that_overflow_still_raise(std2):
     target = ScalarForm(std2, {(0,): big(std2) + x2, (1,): big(std2, -1)})
     with pytest.raises(OverflowError):
         interior(K, target)
+
+
+def test_substituted_products_that_cancel_still_raise(std2):
+    # dx1 -> p dx1 and dx2 -> -p dx1 share p = x1 + x2: on f dx1 + f dx2 the grouped sum
+    # f - f is 0, so only the guard of the products f * p, one per key, sees the overflow
+    table = ImageTable()
+    kappa, p = table.factor(PolyScalar.variable(0, std2.dim) + PolyScalar.variable(1, std2.dim))
+    table[(0,)] = (((0,), kappa, p),)
+    table[(1,)] = (((0,), -kappa, p),)
+    top = PolyScalar.monomial(1, (2**15 - 1,) + (0,) * (std2.dim - 1), std2.dim)
+    with pytest.raises(OverflowError):
+        _substitute(ScalarForm(std2, {(0,): top, (1,): top}), table)
+    assert _substitute(ScalarForm(std2, {(0,): p, (1,): p}), table).is_zero()

@@ -15,6 +15,7 @@ from acderiv import (
 from acderiv.algebra import PolyScalar
 from acderiv.forms import (
     ScalarForm,
+    conjugate_form,
     from_frame,
     random_bundle_form,
     random_scalar_form,
@@ -88,6 +89,18 @@ def test_frameless_maps_return_their_input():
 def test_exp_in_the_frame_equals_the_coordinate_series(chart_name):
     chart = make_standard_chart(2) if chart_name == "standard:2" else CHARTS[chart_name]()
     phi = random_form(chart, (0, 1), "1,0", 2, f"frame-exp-{chart_name}")
+    _assert_exp_matches_series(chart, chart_name, phi)
+
+
+@pytest.mark.parametrize("chart_name", ["standard:2", *sorted(CHARTS)])
+def test_exp_of_a_conjugate_in_the_frame_equals_the_coordinate_series(chart_name):
+    # psibar, the conjugate of a (0,1)-form valued in T^{1,0}, is what T3.8.4-6 conjugate by
+    chart = make_standard_chart(2) if chart_name == "standard:2" else CHARTS[chart_name]()
+    psi = random_form(chart, (0, 1), "1,0", 2, f"frame-exp-{chart_name}-psibar")
+    _assert_exp_matches_series(chart, chart_name, conjugate_form(psi))
+
+
+def _assert_exp_matches_series(chart, chart_name, phi):
     assert not phi.is_zero()
     exp_plus, exp_minus = exp_interior(phi)
     rng = random.Random(f"frame-probes-{chart_name}")
@@ -100,11 +113,17 @@ def test_exp_in_the_frame_equals_the_coordinate_series(chart_name):
 
 
 def test_coframe_images_are_memoised(framed):
+    def memoised():
+        cache = framed._coframe_cache
+        return {(tag, key): image for tag in cache for key, image in cache[tag].items()}
+
     dx1 = ScalarForm.basis_covector(framed, 0)
     first = to_frame(dx1)
-    cached = len(framed._coframe_cache)
+    cached = memoised()
     assert to_frame(dx1) == first != dx1
-    assert len(framed._coframe_cache) == cached
+    again = memoised()
+    assert cached and again.keys() == cached.keys()
+    assert all(again[entry] is cached[entry] for entry in cached)
 
 
 def test_frame_and_bidegree_images_do_not_share_memo_entries():
