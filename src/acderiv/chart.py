@@ -28,8 +28,9 @@ class Chart:
     frame is None or a pair (A, A^{-1}) of polynomial matrices: the frame
     e'_b = sum_k A[k][b] e_k, dual to the coframe theta^b with
     dx^k = sum_b A[k][b] theta^b.  Tensorial operations may be evaluated in
-    it (forms.to_frame, forms.from_frame); a twisted chart's frame is
-    A = I + N, in which J is the constant J0.
+    it (forms.to_frame, forms.from_frame).  Every builtin chart carries the
+    frame in which J is diagonal, A^{-1} J A = diag(i, -i, ..., i, -i): e'_{2a}
+    spans T^{1,0} and e'_{2a+1} = conj(e'_{2a}) spans T^{0,1}.
     """
 
     def __init__(
@@ -74,16 +75,36 @@ class Chart:
         return f"Chart(n={self.n}, name={self.name!r})"
 
 
-def make_standard_chart(n: int) -> Chart:
-    """Constant block J0 with J0 e_{2i} = e_{2i+1}, J0 e_{2i+1} = -e_{2i}."""
-    if n < 1:
-        raise ValueError("complex dimension must be >= 1")
+def _complex_frame(n: int) -> tuple[AlgebraElement, AlgebraElement]:
+    """(C, C^{-1}): columns 2a and 2a+1 of C are e_{2a} - i e_{2a+1} and e_{2a} + i e_{2a+1},
+    the i and -i eigenvectors of J0, so C^{-1} J0 C is diagonal."""
+    dim = 2 * n
+    C = [[PolyScalar.zero(dim)] * dim for _ in range(dim)]
+    inverse = [[PolyScalar.zero(dim)] * dim for _ in range(dim)]
+    for a in range(0, dim, 2):
+        for b, s in ((a, 1), (a + 1, -1)):  # column b is e_a - s i e_{a+1}
+            C[a][b] = PolyScalar.one(dim)
+            C[a + 1][b] = PolyScalar.constant(GaussRational(0, -s), dim)
+            inverse[b][a] = PolyScalar.constant(GR_HALF, dim)
+            inverse[b][a + 1] = PolyScalar.constant(GaussRational(0, Fraction(s, 2)), dim)
+    return AlgebraElement(C), AlgebraElement(inverse)
+
+
+def _standard_J(n: int) -> AlgebraElement:
+    """The constant block J0 with J0 e_{2i} = e_{2i+1}, J0 e_{2i+1} = -e_{2i}."""
     dim = 2 * n
     J = [[PolyScalar.zero(dim)] * dim for _ in range(dim)]
     for i in range(n):
         J[2 * i + 1][2 * i] = PolyScalar.constant(1, dim)
         J[2 * i][2 * i + 1] = PolyScalar.constant(-1, dim)
-    return Chart(n, AlgebraElement(J), name=f"standard:{n}")
+    return AlgebraElement(J)
+
+
+def make_standard_chart(n: int) -> Chart:
+    """The constant J0 (_standard_J); its frame is C (_complex_frame)."""
+    if n < 1:
+        raise ValueError("complex dimension must be >= 1")
+    return Chart(n, _standard_J(n), name=f"standard:{n}", frame=_complex_frame(n))
 
 
 def make_twisted_chart(n: int, N: Sequence[Sequence[PolyScalar]], name: str | None = None) -> Chart:
@@ -92,7 +113,8 @@ def make_twisted_chart(n: int, N: Sequence[Sequence[PolyScalar]], name: str | No
     N is given as nested lists of PolyScalar in 2n variables.  N is
     nilpotent, so (I+N)^{-1} is the finite sum I - N + N^2 - ... up to
     N^{2n-1}, and the unipotent conjugation keeps J*J = -I exact with
-    polynomial entries.  The chart keeps (I+N, (I+N)^{-1}) as its frame.
+    polynomial entries.  The chart's frame is ((I+N) C, C^{-1} (I+N)^{-1}),
+    with C the standard chart's frame.
     """
     if n < 1:
         raise ValueError("complex dimension must be >= 1")
@@ -108,8 +130,9 @@ def make_twisted_chart(n: int, N: Sequence[Sequence[PolyScalar]], name: str | No
         term = -(term * N)
         inverse = inverse + term
     A = ident + N
-    J = A * make_standard_chart(n).J * inverse
-    return Chart(n, J, name=name or f"twisted:{n}", frame=(A, inverse))
+    C, C_inverse = _complex_frame(n)
+    J = A * _standard_J(n) * inverse
+    return Chart(n, J, name=name or f"twisted:{n}", frame=(A * C, C_inverse * inverse))
 
 
 def builtin_twisted_chart(n: int) -> Chart:

@@ -49,23 +49,28 @@ def _merge_sign(left: tuple, right: tuple):
 
 
 def _accumulate(out: dict, items) -> dict:
-    """Add sign * f * g for each (index key, sign 1 or -1, f, g) into out; g None stands for 1.
+    """Add c * f * g for each (index key, c, f, g) into out; c is 1 or -1, g None stands for 1.
 
-    A key's first term f with g None is stored as it is; any further term opens
-    one ProductSum for the key, which multiplies products straight into its
-    sum.  Zero sums drop out.
+    With g None, c may also be any nonzero GaussRational: that term is a
+    scaling of f, not a product.  A key's first term with c 1 or -1 and g
+    None is stored as it is; any other term opens one ProductSum for the
+    key, which multiplies products and scalings straight into its sum.  Zero
+    sums drop out.
     """
     sums = {}
-    for key, sign, f, g in items:
+    for key, c, f, g in items:
         acc = sums.get(key)
         if acc is None:
             prior = out.get(key)
-            if prior is None and g is None:
+            if prior is None and g is None and c.__class__ is int:
                 if f:
-                    out[key] = f if sign > 0 else -f
+                    out[key] = f if c > 0 else -f
                 continue
             acc = sums[key] = ProductSum(f.num_vars, prior)
-        acc.add(sign, f, g)
+        if c.__class__ is int:
+            acc.add(c, f, g)
+        else:
+            acc.add_multiple(c, f)
     for key, acc in sums.items():
         total = acc.total()
         if total:
@@ -579,13 +584,17 @@ def _wedge_rows(chart: "Chart", key: tuple, mats) -> ScalarForm:
     return image
 
 
+_UNIT_SIGNS = {GR_ONE: 1, -GR_ONE: -1}
+
+
 class ImageTable(dict):
     """key -> items (image key, kappa, p) of the image sum kappa * p dx^image key of dx^key.
 
     A coefficient of two or more terms is kappa * p (_factor), p interned
-    (equal p are one object); span is code_span of every such p.  A one-term
-    coefficient is p itself with kappa 1, or None with kappa 1 or -1 for 1
-    or -1.  A missing key is built from build(key), a form.
+    (equal p are one object); span is code_span of every such p.  A constant
+    coefficient is kappa with p None, kappa 1 or -1 for 1 or -1 and a
+    GaussRational otherwise; any other one-term coefficient is p itself with
+    kappa 1.  A missing key is built from build(key), a form.
     """
 
     def __init__(self, build=None):
@@ -595,7 +604,10 @@ class ImageTable(dict):
     def factor(self, c: PolyScalar):
         if len(c.terms) == 1:
             pair = c.terms.get(0)
-            return (pair[0], None) if c.den == 1 and pair in ((1, 0), (-1, 0)) else (1, c)
+            if pair is None:
+                return 1, c
+            kappa = GaussRational._raw(*pair, c.den)
+            return _UNIT_SIGNS.get(kappa, kappa), None
         kappa, p = _factor(c)
         interned = self.pool.setdefault(p, p)
         if interned is p:
@@ -612,10 +624,11 @@ def _substitute(alpha: ScalarForm, table: ImageTable) -> ScalarForm:
     """alpha with each dx^key replaced by its image table[key], exact for any coefficients.
 
     The f that meet one interned p at one image key are summed, sum kappa * f,
-    and multiplied by p once; a lone f is not summed.  A one-term coefficient
-    costs no more than that sum, so it is multiplied with each f (1 and -1
-    cost no product).  If a product of the table's codes with alpha's could
-    overflow, nothing is summed, so that ProductSum's guard sees every product.
+    and multiplied by p once; a lone f is not summed.  A constant coefficient
+    scales each f, and any other one-term coefficient costs no more than that
+    sum, so it is multiplied with each f.  If a product of the table's codes
+    with alpha's could overflow, nothing is summed, so that ProductSum's guard
+    sees every product.
     """
     if not alpha.terms:
         return alpha
@@ -627,7 +640,7 @@ def _substitute(alpha: ScalarForm, table: ImageTable) -> ScalarForm:
     direct, sums = [], {}  # sums: (image key, p) -> [image key, p, kappa, f], or [.., None, ProductSum]
     for f, items in rows:
         for image_key, kappa, p in items:
-            if kappa.__class__ is int:
+            if p is None or kappa.__class__ is int:
                 direct.append((image_key, kappa, f, p))
             elif not grouped:
                 direct.append((image_key, 1, f, p.scale(kappa)))
@@ -641,9 +654,6 @@ def _substitute(alpha: ScalarForm, table: ImageTable) -> ScalarForm:
                 entry[3].add_multiple(kappa, f)
     direct.extend(map(_product_item, sums.values()))
     return ScalarForm(alpha.chart, _accumulate({}, direct))
-
-
-_UNIT_SIGNS = {GR_ONE: 1, -GR_ONE: -1}
 
 
 def _product_item(entry):
@@ -734,6 +744,8 @@ def to_frame(form):
     by A^{-1} (e_a = sum_b A^{-1}[b][a] e'_b).  The result keeps its type and
     chart; its index keys and value axes now count theta^b and e'_b.  Wedge
     and interior are tensorial, so they commute with the change; d does not.
+    In a builtin chart's frame, e'_{2a} and theta^{2a} are of type (1,0) and
+    e'_{2a+1} and theta^{2a+1} of type (0,1), so the coefficients are complex.
     """
     return _change_frame(form, True)
 

@@ -299,10 +299,11 @@ def exp_interior(phi: VectorForm) -> Tuple[DerivationOp, DerivationOp]:
     once per call, and NotNilpotentError is raised when it fails.  Both maps
     are one substitution of the images of the basis forms (_exp_tables),
     built once per call in the chart's frame (forms.to_frame): each input is
-    moved in and its image back out.  In a twisted chart's frame J is
-    constant, so a phi of type (0,1) valued in T^{1,0} has its coefficients
-    in n^2 proportional blocks, as on a standard chart, and the images have
-    few distinct coefficients up to a constant.
+    moved in and its image back out, which is exact in any frame because
+    i_phi is tensorial.  In a builtin chart's frame J is diagonal, so a phi
+    of type (0,1) valued in T^{1,0} has only n^2 nonzero coefficients, at
+    (1,0) values and (0,1) keys: i_phi kills every (0,1) basis covector, and
+    (i_phi)^j theta^I vanishes once j exceeds the number of (1,0) slots of I.
     """
     if phi.degree != 1:
         raise ValueError("exponential conjugation needs a form-degree-1 argument")

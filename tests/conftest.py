@@ -1,6 +1,7 @@
 import pytest
 
 from acderiv import builtin_twisted_chart, make_standard_chart
+from acderiv.algebra import AlgebraElement, GaussRational, PolyScalar
 
 
 @pytest.fixture(scope="session")
@@ -16,3 +17,16 @@ def std2():
 @pytest.fixture(scope="session")
 def twisted2():
     return builtin_twisted_chart(2)
+
+
+@pytest.fixture(scope="session")
+def diagonal_J():
+    """n -> diag(i, -i, ..., i, -i): J in the frame of a builtin chart."""
+
+    def build(n):
+        dim = 2 * n
+        i_or_minus_i = [PolyScalar.constant(GaussRational(0, (-1) ** a), dim) for a in range(dim)]
+        zero = PolyScalar.zero(dim)
+        return AlgebraElement([[i_or_minus_i[a] if a == b else zero for b in range(dim)] for a in range(dim)])
+
+    return build

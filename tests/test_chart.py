@@ -97,23 +97,28 @@ def test_chart_rejects_a_polynomial_J_that_does_not_square_to_minus_identity():
     assert Chart(1, poly_matrix(2, {(0, 1): -one, (1, 0): one})).J == make_standard_chart(1).J
 
 
-def test_only_twisted_charts_carry_a_frame(std2, twisted2):
-    assert std2.frame is None
+def test_builtin_charts_carry_a_frame(std2, twisted2, diagonal_J):
     assert Chart(2, std2.J).frame is None
-    A, inverse = twisted2.frame
-    assert A * inverse == identity(4)
+    for chart in (std2, twisted2):
+        A, inverse = chart.frame
+        assert A * inverse == identity(4)
+    for n in (1, 2, 3):
+        # e'_{2a} = e_{2a} - i e_{2a+1} spans T^{1,0}: in that frame the standard J is diagonal
+        A, inverse = make_standard_chart(n).frame
+        assert inverse * make_standard_chart(n).J * A == diagonal_J(n)
 
 
 @pytest.mark.parametrize("n", [2, 3])
-def test_builtin_twisted_frame_makes_J_constant(n):
-    # in the frame e'_b = A e_b the twisted J is the standard J0
-    A, inverse = builtin_twisted_chart(n).frame
-    assert inverse * builtin_twisted_chart(n).J * A == make_standard_chart(n).J
+def test_builtin_twisted_frame_makes_J_constant(n, diagonal_J):
+    # in the frame e'_b = A e_b the twisted J is the constant diag(i, -i, ...)
+    chart = builtin_twisted_chart(n)
+    A, inverse = chart.frame
+    assert chart.J != make_standard_chart(n).J
+    assert inverse * chart.J * A == diagonal_J(n)
 
 
 def test_chart_rejects_a_frame_with_a_wrong_inverse(twisted2):
     A, inverse = twisted2.frame
-    # A = I + x1 E_13, so A*A = I + 2 x1 E_13 != I
     with pytest.raises(ValueError, match="A\\*A\\^\\{-1\\} != I"):
         Chart(2, twisted2.J, frame=(A, A))
     assert Chart(2, twisted2.J, frame=(A, inverse)).frame == (A, inverse)

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from acderiv import (
+    Chart,
     bidegree_split,
     builtin_twisted_chart,
     exp_interior,
@@ -12,7 +13,7 @@ from acderiv import (
     make_twisted_chart,
     random_form,
 )
-from acderiv.algebra import PolyScalar
+from acderiv.algebra import PolyScalar, ProductSum
 from acderiv.forms import (
     ScalarForm,
     conjugate_form,
@@ -24,7 +25,7 @@ from acderiv.forms import (
     vector_one_form_from_matrix,
 )
 from acderiv.operators import generator_family, interior_op, series
-from acderiv.verifier import parse_chart_name
+from acderiv.verifier import IdentityCheck, parse_chart_name
 
 
 def three_entry_twist():
@@ -39,10 +40,15 @@ def three_entry_twist():
 
 
 CHARTS = {
+    "standard:2": lambda: make_standard_chart(2),
     "twisted:2": lambda: parse_chart_name("twisted:2"),
     "twisted:3": lambda: parse_chart_name("twisted:3"),
     "three-entry": three_entry_twist,
 }
+
+
+# a bare chart has no frame, so its exponential runs in coordinates through the same path
+EXP_CHARTS = {**CHARTS, "bare:2": lambda: Chart(2, make_standard_chart(2).J)}
 
 
 @pytest.fixture(scope="module", params=sorted(CHARTS))
@@ -65,16 +71,26 @@ def test_from_frame_inverts_to_frame(framed):
         assert to_frame(from_frame(form)) == form
 
 
-def test_to_frame_moves_J_to_the_constant_J0(framed):
-    # J as the vector 1-form sum J[b][a] dx^a (x) e_b is sum J0[b][a] theta^a (x) e'_b
-    J0 = make_standard_chart(framed.n).J
+def test_to_frame_moves_J_to_its_diagonal_form(framed, diagonal_J):
+    # J as the vector 1-form sum J[b][a] dx^a (x) e_b is sum_a (-1)^a i theta^a (x) e'_a
+    diagonal = diagonal_J(framed.n)
     J_form = vector_one_form_from_matrix(framed, framed.J)
-    assert J_form != vector_one_form_from_matrix(framed, J0)
-    assert to_frame(J_form) == vector_one_form_from_matrix(framed, J0)
+    assert J_form != vector_one_form_from_matrix(framed, diagonal)
+    assert to_frame(J_form) == vector_one_form_from_matrix(framed, diagonal)
+
+
+def test_a_phi_of_type_01_valued_in_T10_has_n2_coefficients_in_the_frame(framed):
+    # e'_{2a} spans T^{1,0} and theta^{2b+1} is of type (0,1); the conjugate takes the mirror slots
+    phi = random_form(framed, (0, 1), "1,0", 2, f"frame-sparsity-{framed.name}")
+    holo, anti = range(0, framed.dim, 2), range(1, framed.dim, 2)
+    for form, values, keys in ((phi, holo, anti), (conjugate_form(phi), anti, holo)):
+        framed_form = to_frame(form)
+        slots = {(a, key) for a, comp in enumerate(framed_form.comps) for key in comp.terms}
+        assert slots == {(a, (b,)) for a in values for b in keys}
 
 
 def test_frameless_maps_return_their_input():
-    chart = make_standard_chart(2)
+    chart = Chart(2, make_standard_chart(2).J)
     rng = random.Random("frameless")
     for form in (
         random_scalar_form(chart, 2, 2, rng),
@@ -85,17 +101,17 @@ def test_frameless_maps_return_their_input():
         assert from_frame(form) is form
 
 
-@pytest.mark.parametrize("chart_name", ["standard:2", *sorted(CHARTS)])
+@pytest.mark.parametrize("chart_name", sorted(EXP_CHARTS))
 def test_exp_in_the_frame_equals_the_coordinate_series(chart_name):
-    chart = make_standard_chart(2) if chart_name == "standard:2" else CHARTS[chart_name]()
+    chart = EXP_CHARTS[chart_name]()
     phi = random_form(chart, (0, 1), "1,0", 2, f"frame-exp-{chart_name}")
     _assert_exp_matches_series(chart, chart_name, phi)
 
 
-@pytest.mark.parametrize("chart_name", ["standard:2", *sorted(CHARTS)])
+@pytest.mark.parametrize("chart_name", sorted(EXP_CHARTS))
 def test_exp_of_a_conjugate_in_the_frame_equals_the_coordinate_series(chart_name):
     # psibar, the conjugate of a (0,1)-form valued in T^{1,0}, is what T3.8.4-6 conjugate by
-    chart = make_standard_chart(2) if chart_name == "standard:2" else CHARTS[chart_name]()
+    chart = EXP_CHARTS[chart_name]()
     psi = random_form(chart, (0, 1), "1,0", 2, f"frame-exp-{chart_name}-psibar")
     _assert_exp_matches_series(chart, chart_name, conjugate_form(psi))
 
@@ -146,3 +162,29 @@ def test_frame_and_bidegree_images_do_not_share_memo_entries():
     frames, parts = frame_changes(frame_first), splits(frame_first)
     assert splits(split_first) == parts
     assert frame_changes(split_first) == frames
+
+
+def test_exp_on_twisted3_makes_fewer_term_pairs_than_the_series(monkeypatch):
+    # dense twisted:3 input: T3.8.1's phi at seed 7 and a random 3-form.  In the J-diagonal
+    # frame phi has n^2 coefficients, and the image table beats the coordinate series
+    chart = parse_chart_name("twisted:3")
+    spec = IdentityCheck("T3.8.1", "twisted:3", seed=7)
+    phi = random_form(chart, (0, 1), "1,0", spec.degree, spec.sub_seed("phi"))
+    u = random_bundle_form(chart, 1, 3, 1, random.Random("twisted3-term-pairs"))
+    exp_plus, exp_minus = exp_interior(phi)
+    pairs = []
+    add = ProductSum.add
+
+    def counting_add(self, sign, f, g=None):
+        if g is not None:
+            pairs.append(len(f.terms) * len(g.terms))
+        return add(self, sign, f, g)
+
+    monkeypatch.setattr(ProductSum, "add", counting_add)
+    image = exp_minus(exp_plus(u))
+    table_pairs, pairs[:] = sum(pairs), []
+    expected = series(series(u, interior_op(phi).action, chart.n), interior_op(-phi).action, chart.n)
+    series_pairs = sum(pairs)
+    monkeypatch.undo()
+    assert image == expected
+    assert table_pairs < series_pairs
