@@ -29,11 +29,13 @@ from .forms import (
     conjugate_form,
     contract,
     fn_bracket,
+    from_frame,
     interior,
     nr_bracket,
     random_bundle_form,
     random_form,
     random_vector_form,
+    to_frame,
 )
 from .operators import (
     Connection,
@@ -159,18 +161,25 @@ def _worst(bad: Sequence[Tuple[str, BundleForm]]) -> Tuple[str, str]:
 
 def _nr_sum(base: VectorForm, arg: VectorForm, count: int, shift: int) -> VectorForm:
     """sum_{j=0}^{count} [base, arg]^{wedge(j)} / (j + shift)!, the finite-commutability
-    expansion behind every Theorem 3.8 formula."""
-    return series(base, lambda bracket: nr_bracket(bracket, arg), count, shift)
+    expansion behind every Theorem 3.8 formula.
+
+    The bracket is algebraic, so the series runs in the chart's frame, where
+    typed operands have fewer coefficients: base and arg move in once, the sum
+    out once.
+    """
+    arg = to_frame(arg)
+    return from_frame(series(to_frame(base), lambda bracket: nr_bracket(bracket, arg), count, shift))
 
 
 def _closed_form_1(phi: VectorForm, quad: Fraction = Fraction(1, 2)) -> VectorForm:
     """M with e^{-i_phi} nabla e^{i_phi} = nabla - L_phi - i_M (T3.8.1).
 
-    M = quad [phi,phi] + [[phi,phi],phi]^/6 with quad = 1/2; the negative
-    control passes quad = 1.
+    M = [phi,phi]/2! + [[phi,phi],phi]^/3!, the series _nr_sum(ff, phi, 1, 2).
+    The negative control passes quad = 1 and gets (quad - 1/2) [phi,phi] on top.
     """
     ff = fn_bracket(phi, phi)
-    return ff.scale(quad) + nr_bracket(ff, phi).scale(Fraction(1, 6))
+    M = _nr_sum(ff, phi, 1, 2)
+    return M + ff.scale(quad - Fraction(1, 2)) if quad != Fraction(1, 2) else M
 
 
 def _closed_form_5(phi: VectorForm, psibar: VectorForm) -> Tuple[VectorForm, VectorForm]:

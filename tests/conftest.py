@@ -1,7 +1,7 @@
 import pytest
 
 from acderiv import builtin_twisted_chart, make_standard_chart
-from acderiv.algebra import AlgebraElement, GaussRational, PolyScalar
+from acderiv.algebra import AlgebraElement, GaussRational, PolyScalar, ProductSum
 
 
 @pytest.fixture(scope="session")
@@ -30,3 +30,18 @@ def diagonal_J():
         return AlgebraElement([[i_or_minus_i[a] if a == b else zero for b in range(dim)] for a in range(dim)])
 
     return build
+
+
+@pytest.fixture
+def term_pairs(monkeypatch):
+    """A list that gets len(f) * len(g) for every polynomial product ProductSum.add makes."""
+    pairs = []
+    add = ProductSum.add
+
+    def counting_add(self, sign, f, g=None):
+        if g is not None:
+            pairs.append(len(f.terms) * len(g.terms))
+        return add(self, sign, f, g)
+
+    monkeypatch.setattr(ProductSum, "add", counting_add)
+    return pairs

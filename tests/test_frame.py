@@ -13,7 +13,7 @@ from acderiv import (
     make_twisted_chart,
     random_form,
 )
-from acderiv.algebra import PolyScalar, ProductSum
+from acderiv.algebra import PolyScalar
 from acderiv.forms import (
     ScalarForm,
     conjugate_form,
@@ -164,7 +164,7 @@ def test_frame_and_bidegree_images_do_not_share_memo_entries():
     assert frame_changes(split_first) == frames
 
 
-def test_exp_on_twisted3_makes_fewer_term_pairs_than_the_series(monkeypatch):
+def test_exp_on_twisted3_makes_fewer_term_pairs_than_the_series(term_pairs):
     # dense twisted:3 input: T3.8.1's phi at seed 7 and a random 3-form.  In the J-diagonal
     # frame phi has n^2 coefficients, and the image table beats the coordinate series
     chart = parse_chart_name("twisted:3")
@@ -172,19 +172,10 @@ def test_exp_on_twisted3_makes_fewer_term_pairs_than_the_series(monkeypatch):
     phi = random_form(chart, (0, 1), "1,0", spec.degree, spec.sub_seed("phi"))
     u = random_bundle_form(chart, 1, 3, 1, random.Random("twisted3-term-pairs"))
     exp_plus, exp_minus = exp_interior(phi)
-    pairs = []
-    add = ProductSum.add
-
-    def counting_add(self, sign, f, g=None):
-        if g is not None:
-            pairs.append(len(f.terms) * len(g.terms))
-        return add(self, sign, f, g)
-
-    monkeypatch.setattr(ProductSum, "add", counting_add)
+    term_pairs.clear()
     image = exp_minus(exp_plus(u))
-    table_pairs, pairs[:] = sum(pairs), []
+    table_pairs, term_pairs[:] = sum(term_pairs), []
     expected = series(series(u, interior_op(phi).action, chart.n), interior_op(-phi).action, chart.n)
-    series_pairs = sum(pairs)
-    monkeypatch.undo()
+    series_pairs = sum(term_pairs)
     assert image == expected
     assert table_pairs < series_pairs

@@ -1,20 +1,24 @@
 """The identity registry: determinism, skips, negative controls, cross-checks."""
 
 from fractions import Fraction
+from functools import cache
 from math import factorial
 
 import pytest
 
-from acderiv import conjugate_form, fn_bracket, iterated_nr_bracket, random_form
+from acderiv import conjugate_form, fn_bracket, iterated_nr_bracket, nr_bracket, random_form
+from acderiv.operators import series
 from acderiv.verifier import (
     REGISTRY_IDS,
     IdentityCheck,
+    _closed_form_1,
     _nr_sum,
     check_identity,
     parse_chart_name,
     registry_descriptions,
     run_suite,
 )
+from test_frame import EXP_CHARTS
 
 
 def test_registry_is_closed_and_complete():
@@ -110,17 +114,52 @@ def test_corruption_needs_a_nonzero_phi_bracket_not_torsion(chart, caught):
     assert skipped.status == "skip"
 
 
+@cache
+def nr_sum_inputs(chart_name):
+    """psibar and, per base, its brackets [base, psibar]^{wedge(j)} for j <= 3, in coordinates."""
+    chart = EXP_CHARTS[chart_name]()
+    phi = random_form(chart, (0, 1), "1,0", 1, "nr-sum-phi")
+    psibar = conjugate_form(random_form(chart, (0, 1), "1,0", 1, "nr-sum-psi"))
+    bases = (phi, fn_bracket(phi, psibar))
+    return psibar, [(base, [iterated_nr_bracket(base, psibar, j) for j in range(4)]) for base in bases]
+
+
 @pytest.mark.parametrize("count", [0, 1, 2, 3])
 @pytest.mark.parametrize("shift", [0, 1, 2])
-def test_nr_sum_matches_iterated_brackets(twisted2, count, shift):
-    phi = random_form(twisted2, (0, 1), "1,0", 1, "nr-sum-phi")
-    psibar = conjugate_form(random_form(twisted2, (0, 1), "1,0", 1, "nr-sum-psi"))
-    for base in (phi, fn_bracket(phi, psibar)):
-        expected = base.scale(0)
-        for j in range(count + 1):
-            term = iterated_nr_bracket(base, psibar, j)
-            expected = expected + term.scale(Fraction(1, factorial(j + shift)))
-        assert _nr_sum(base, psibar, count, shift) == expected
+def test_nr_sum_matches_iterated_brackets(count, shift):
+    # the series runs in each chart's frame; a bare chart has none and runs in coordinates
+    for chart_name in sorted(EXP_CHARTS):
+        psibar, bases = nr_sum_inputs(chart_name)
+        for base, brackets in bases:
+            expected = base.scale(0)
+            for j in range(count + 1):
+                expected = expected + brackets[j].scale(Fraction(1, factorial(j + shift)))
+            assert _nr_sum(base, psibar, count, shift) == expected
+
+
+def test_closed_form_1_is_the_bracket_series(twisted2):
+    phi = random_form(twisted2, (0, 1), "1,0", 1, "closed-form-1")
+    ff = fn_bracket(phi, phi)
+    sixth = nr_bracket(ff, phi).scale(Fraction(1, 6))
+    assert not sixth.is_zero()
+    assert _closed_form_1(phi) == ff.scale(Fraction(1, 2)) + sixth
+    assert _closed_form_1(phi, Fraction(1)) == ff + sixth
+
+
+def test_nr_sum_on_twisted3_makes_fewer_term_pairs_than_in_coordinates(term_pairs):
+    # T3.8.4's transported form at seed 7: in the J-diagonal frame phi and psibar have
+    # n^2 coefficients each, so the brackets pair far fewer terms
+    spec = IdentityCheck("T3.8.4", "twisted:3", seed=7)
+    chart = parse_chart_name(spec.chart)
+    phi = random_form(chart, (0, 1), "1,0", spec.degree, spec.sub_seed("phi"))
+    psibar = conjugate_form(random_form(chart, (0, 1), "1,0", spec.degree, spec.sub_seed("psi")))
+    term_pairs.clear()
+    framed = _nr_sum(phi, psibar, 2, 0)
+    frame_pairs, term_pairs[:] = sum(term_pairs), []
+    expected = series(phi, lambda bracket: nr_bracket(bracket, psibar), 2)
+    coordinate_pairs = sum(term_pairs)
+    assert framed == expected
+    assert frame_pairs < coordinate_pairs
 
 
 def test_run_suite_summary_counts():
