@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import operator
 import random
+from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, starmap
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .algebra import (
@@ -78,13 +79,6 @@ def _accumulate(out: dict, items) -> dict:
         else:
             out.pop(key, None)
     return out
-
-
-def _factor(g: PolyScalar):
-    """(lam, h) with g = lam * h, lam the coefficient of g's lowest code: proportional g share h."""
-    an, bn = g.terms[min(g.terms)]
-    lam = GaussRational._raw(an, bn, g.den)
-    return lam, g.scale(GR_ONE / lam)
 
 
 class ScalarForm:
@@ -235,10 +229,10 @@ class ScalarForm:
 class VectorForm:
     """Tangent-valued form K = sum_a kappa^a (x) d/dx_a, all components one degree.
 
-    Treated as immutable: interior keeps a table of its coefficient classes.
+    Treated as immutable: interior keeps its coefficients as an ImageTable.
     """
 
-    __slots__ = ("chart", "degree", "comps", "_classes")
+    __slots__ = ("chart", "degree", "comps", "_table")
 
     def __init__(self, chart: "Chart", degree: int, comps: Sequence[ScalarForm]):
         if len(comps) != chart.dim:
@@ -249,7 +243,7 @@ class VectorForm:
         self.chart = chart
         self.degree = degree
         self.comps = tuple(comps)
-        self._classes = None
+        self._table = None
 
     @staticmethod
     def zero(chart: "Chart", degree: int) -> "VectorForm":
@@ -265,33 +259,18 @@ class VectorForm:
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.comps)
 
-    def coefficient_classes(self):
-        """(rows, classes, span), built on first use and kept.
+    def coefficients(self) -> "ImageTable":
+        """axis a -> the ImageTable items of kappa^a's terms, built whole on first use and kept.
 
-        Each coefficient g is lam * h (_factor).  rows[a] lists (index key,
-        g, class, lam) for the terms of kappa^a; class indexes classes, which
-        holds the h shared by two or more coefficients, and is None for a g
-        proportional to no other.
-        span is code_span of all coefficients.
+        Only the p of proportional coefficients are kept (ImageTable.keep_shared):
+        in interior, coefficients at two index keys can meet.
         """
-        if self._classes is None:
-            flat, by_h = [], {}
+        if self._table is None:
+            table = ImageTable()
             for axis, comp in enumerate(self.comps):
-                for key, g in comp.terms.items():
-                    lam, h = _factor(g)
-                    by_h.setdefault(h, []).append(len(flat))
-                    flat.append((axis, key, g, lam))
-            classes, class_of = [], {}
-            for h, members in by_h.items():
-                if len(members) > 1:
-                    class_of.update(dict.fromkeys(members, len(classes)))
-                    classes.append(h)
-            rows = [[] for _ in self.comps]
-            for i, (axis, key, g, lam) in enumerate(flat):
-                rows[axis].append((key, g, class_of.get(i), lam))
-            span = code_span(g for _, _, g, _ in flat)
-            self._classes = rows, classes, span
-        return self._classes
+                table[axis] = tuple(starmap(table.item, comp.terms.items()))
+            self._table = table.keep_shared(False)
+        return self._table
 
     def _check_compatible(self, other: "VectorForm"):
         if self.chart is not other.chart:
@@ -431,48 +410,21 @@ def wedge(alpha: ScalarForm, beta: ScalarForm) -> ScalarForm:
 
 
 def _interior_terms(K: VectorForm, target: ScalarForm):
-    """Items (index key, sign, factor, factor) whose signed products sum to i_K target.
+    """Contributions (index key, sign, f, item) of i_K target for _products.
 
-    Each (target term f dx^key, slot pos of key holding axis a, term g of
-    kappa^a) contributes sign * g * f: (-1)^pos from contracting slot pos,
-    times the sign of wedging g's index key in front of what is left.
-    Contributions to one index key whose g lie in one coefficient class
-    (g = lam * h) are summed first, sum sign * lam * f, and multiplied by h
-    once, which is exact by distributivity.  If a product of K's codes with
-    the target's could overflow, nothing is grouped, so that ProductSum's
-    guard sees every product on its own.
+    Each (target term f dx^key, slot pos of key holding axis a, item of a
+    term c dx^k of kappa^a) contributes sign * c * f: (-1)^pos from
+    contracting slot pos, times the sign of wedging dx^k in front of what is
+    left.
     """
-    rows, classes, span = K.coefficient_classes()
-    num_vars = K.chart.dim
-    grouped = bool(classes) and not products_may_overflow(
-        span, code_span(target.terms.values()), num_vars
-    )
-    groups = {}  # (index key, class) -> [(sign, g, lam, f)]
+    rows = K.coefficients()
     for key, f in target.terms.items():
         for pos, axis in enumerate(key):
             reduced = key[:pos] + key[pos + 1 :]
-            for k_key, g, cls, lam in rows[axis]:
-                merged, sign = _merge_sign(k_key, reduced)
-                if merged is None:
-                    continue
-                if pos % 2:
-                    sign = -sign
-                if cls is None or not grouped:
-                    yield merged, sign, g, f
-                else:
-                    groups.setdefault((merged, cls), []).append((sign, g, lam, f))
-    while groups:
-        (merged, cls), members = groups.popitem()
-        if len(members) == 1:
-            sign, g, _, f = members[0]
-            yield merged, sign, g, f
-            continue
-        combination = ProductSum(num_vars)
-        for sign, _, lam, f in members:
-            combination.add_multiple(lam if sign > 0 else -lam, f)
-        total = combination.total()
-        if total:
-            yield merged, 1, classes[cls], total
+            for item in rows[axis]:
+                merged, sign = _merge_sign(item[0], reduced)
+                if merged is not None:
+                    yield merged, -sign if pos % 2 else sign, f, item
 
 
 def interior(K: VectorForm, target):
@@ -485,7 +437,8 @@ def interior(K: VectorForm, target):
         return BundleForm(target.chart, [interior(K, c) for c in target.comps])
     if K.chart is not target.chart:
         raise ValueError("forms live on different charts")
-    return ScalarForm(target.chart, _accumulate({}, _interior_terms(K, target)))
+    items = _products(_interior_terms(K, target), K.coefficients(), target)
+    return ScalarForm(target.chart, _accumulate({}, items))
 
 
 def contract(K: VectorForm, L: VectorForm) -> VectorForm:
@@ -588,81 +541,113 @@ _UNIT_SIGNS = {GR_ONE: 1, -GR_ONE: -1}
 
 
 class ImageTable(dict):
-    """key -> items (image key, kappa, p) of the image sum kappa * p dx^image key of dx^key.
+    """key -> items (image key, c, kappa, p), one per term of the image of dx^key.
 
-    A coefficient of two or more terms is kappa * p (_factor), p interned
-    (equal p are one object); span is code_span of every such p.  A constant
-    coefficient is kappa with p None, kappa 1 or -1 for 1 or -1 and a
-    GaussRational otherwise; any other one-term coefficient is p itself with
-    kappa 1.  A missing key is built from build(key), a form.
+    With p None an item is the term kappa * c dx^image key, c None standing
+    for 1: a constant coefficient is kappa alone, 1 or -1 for 1 or -1 and a
+    GaussRational otherwise, and any other one is c with kappa 1 or -1.
+    With p given the coefficient is c = kappa * p, kappa the coefficient of
+    c's lowest code and p interned (equal p are one object, and c is p when
+    kappa is 1), so that _products can sum the inputs that meet one p; span
+    is code_span of every p.  A missing key is built from build(key), a form.
     """
 
     def __init__(self, build=None):
         super().__init__()
         self.build, self.pool, self.span = build, {}, 0
 
-    def factor(self, c: PolyScalar):
+    def item(self, image_key: tuple, c: PolyScalar) -> tuple:
         if len(c.terms) == 1:
             pair = c.terms.get(0)
             if pair is None:
-                return 1, c
+                return image_key, c, 1, None
             kappa = GaussRational._raw(*pair, c.den)
-            return _UNIT_SIGNS.get(kappa, kappa), None
-        kappa, p = _factor(c)
+            return image_key, None, _UNIT_SIGNS.get(kappa, kappa), None
+        kappa = GaussRational._raw(*c.terms[min(c.terms)], c.den)
+        p = c if kappa == GR_ONE else c.scale(GR_ONE / kappa)
         interned = self.pool.setdefault(p, p)
         if interned is p:
             self.span |= code_span((p,))
-        return kappa, interned
+        return image_key, interned if p is c else c, kappa, interned
+
+    @staticmethod
+    def negated(item) -> tuple:
+        """The item of the negated term."""
+        image_key, c, kappa, p = item
+        return (image_key, c, -kappa, None) if p is None else (image_key, -c, -kappa, p)
+
+    def keep_shared(self, by_image_key: bool) -> "ImageTable":
+        """Make each item whose p meets no other item's the item (image key, c, 1, None).
+
+        Two items meet when they hold one p and, if by_image_key, one image
+        key: in a substitution only those are summed together.  Only a
+        complete table may do so.  The pool goes; span then covers the p
+        that are left.
+        """
+        meets = (lambda item: (item[0], id(item[3]))) if by_image_key else (lambda item: id(item[3]))
+        uses = Counter(meets(item) for items in self.values() for item in items)
+        for key, items in self.items():
+            self[key] = tuple(
+                item if item[3] is None or uses[meets(item)] > 1 else (item[0], item[1], 1, None)
+                for item in items
+            )
+        self.span = code_span(p for items in self.values() for *_, p in items if p is not None)
+        self.pool = None
+        return self
 
     def __missing__(self, key):
-        image = self.build(key).terms.items()
-        items = self[key] = tuple((image_key, *self.factor(c)) for image_key, c in image)
+        items = self[key] = tuple(starmap(self.item, self.build(key).terms.items()))
         return items
+
+
+def _products(contributions, table: ImageTable, alpha: ScalarForm):
+    """The _accumulate items of sign * c * f for each contribution (key, sign, f, item of table).
+
+    alpha holds every f.  A constant scales f.  The f that meet one p at one
+    key are summed, sum sign * kappa * f, and multiplied by p once, which is
+    exact by distributivity; a lone f is multiplied by c.  If a product of
+    the table's p with alpha's coefficients could overflow, nothing is
+    summed, so that ProductSum's guard sees every product.  Products and
+    scalings stream out as they come; each sum is formed after the last
+    contribution, one at a time.
+    """
+    num_vars = alpha.chart.dim
+    grouped = not (
+        table.span and products_may_overflow(table.span, code_span(alpha.terms.values()), num_vars)
+    )
+    groups = {}  # (key, id(p)) -> [p, (sign, f, c, kappa) for each f]
+    for key, sign, f, (_, c, kappa, p) in contributions:
+        if p is None:
+            yield key, kappa if sign > 0 else -kappa, f, c
+        elif not grouped:
+            yield key, sign, f, c
+        elif (members := groups.get((key, id(p)))) is None:
+            groups[key, id(p)] = [p, (sign, f, c, kappa)]
+        else:
+            members.append((sign, f, c, kappa))
+    while groups:
+        (key, _), (p, *members) = groups.popitem()
+        if len(members) == 1:
+            sign, f, c, _ = members[0]
+            yield key, sign, f, c
+            continue
+        acc = ProductSum(num_vars)
+        for sign, f, _, kappa in members:
+            acc.add_multiple(kappa if sign > 0 else -kappa, f)
+        if total := acc.total():
+            yield key, 1, total, p
 
 
 def _substitute(alpha: ScalarForm, table: ImageTable) -> ScalarForm:
     """alpha with each dx^key replaced by its image table[key], exact for any coefficients.
 
-    The f that meet one interned p at one image key are summed, sum kappa * f,
-    and multiplied by p once; a lone f is not summed.  A constant coefficient
-    scales each f, and any other one-term coefficient costs no more than that
-    sum, so it is multiplied with each f.  If a product of the table's codes
-    with alpha's could overflow, nothing is summed, so that ProductSum's guard
-    sees every product.
+    Each term f dx^key contributes f * c dx^image key for each item of
+    table[key], multiplied out by _products.  Every image is built before
+    _products reads the table's span.
     """
-    if not alpha.terms:
-        return alpha
-    num_vars = alpha.chart.dim
     rows = [(f, table[key]) for key, f in alpha.terms.items()]
-    grouped = not (
-        table.span and products_may_overflow(table.span, code_span(alpha.terms.values()), num_vars)
-    )
-    direct, sums = [], {}  # sums: (image key, p) -> [image key, p, kappa, f], or [.., None, ProductSum]
-    for f, items in rows:
-        for image_key, kappa, p in items:
-            if p is None or kappa.__class__ is int:
-                direct.append((image_key, kappa, f, p))
-            elif not grouped:
-                direct.append((image_key, 1, f, p.scale(kappa)))
-            elif (entry := sums.get((image_key, id(p)))) is None:
-                sums[image_key, id(p)] = [image_key, p, kappa, f]
-            else:
-                if entry[2] is not None:
-                    acc = ProductSum(num_vars)
-                    acc.add_multiple(entry[2], entry[3])
-                    entry[2:] = None, acc
-                entry[3].add_multiple(kappa, f)
-    direct.extend(map(_product_item, sums.values()))
-    return ScalarForm(alpha.chart, _accumulate({}, direct))
-
-
-def _product_item(entry):
-    """The _accumulate item (index key, sign, f, g) for one group of _substitute."""
-    image_key, p, kappa, f = entry
-    if kappa is None:
-        return image_key, 1, f.total(), p
-    sign = _UNIT_SIGNS.get(kappa)
-    return (image_key, sign, f, p) if sign else (image_key, 1, f, p.scale(kappa))
+    items = ((item[0], 1, f, item) for f, items in rows for item in items)
+    return ScalarForm(alpha.chart, _accumulate({}, _products(items, table, alpha)))
 
 
 # -- bidegree machinery ---------------------------------------------------------

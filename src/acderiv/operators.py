@@ -266,28 +266,33 @@ def _exp_tables(phi: VectorForm, order: int) -> Tuple[ImageTable, ImageTable]:
     """The images sum_{j<=order} s^j/j! (i_phi)^j dx^I of all basis forms, for s = 1 and s = -1.
 
     Both come from one set of powers, each key stopping at its own first
-    zero power; an image key met at two orders keeps two items.
+    zero power; an image key met at two orders keeps two items.  The table
+    of s = -1 negates the odd orders' items of the other, sharing the rest.
     NotNilpotentError is raised if a power order+1 is nonzero: i_phi is
     C^infinity-linear, so vanishing on the 2^dim basis forms is vanishing on
     all forms.
     """
     chart = phi.chart
-    plus, minus = ImageTable(), ImageTable()
+    plus, parities = ImageTable(), {}
     for degree in range(chart.dim + 1):
         for key in combinations(range(chart.dim), degree):
-            items = []  # (image key, coefficient / j!, j odd)
+            items, odd = [], []
             power = ScalarForm(chart, {key: PolyScalar.one(chart.dim)})
             for j in range(order + 1):
                 weight = Fraction(1, factorial(j))
-                items += [(k, c.scale(weight) if j > 1 else c, j % 2) for k, c in power.terms.items()]
+                items += [plus.item(k, c.scale(weight) if j > 1 else c) for k, c in power.terms.items()]
+                odd += [j % 2] * len(power.terms)
                 power = interior(phi, power)
                 if not power:
                     break
             if power:
                 raise NotNilpotentError(f"(i_phi)^{order + 1} does not vanish on the basis form of {key}")
-            plus[key] = tuple((k, *plus.factor(c)) for k, c, _ in items)
-            minus[key] = tuple((k, *plus.factor(-c if odd else c)) for k, c, odd in items)
+            plus[key], parities[key] = tuple(items), odd
+    plus.keep_shared(True)
+    minus = ImageTable()
     minus.span = plus.span
+    for key, items in plus.items():
+        minus[key] = tuple(ImageTable.negated(item) if o else item for item, o in zip(items, parities[key]))
     return plus, minus
 
 

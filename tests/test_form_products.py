@@ -18,7 +18,14 @@ import pytest
 
 from acderiv import VectorForm, interior, random_form, wedge
 from acderiv.algebra import GaussRational, PolyScalar, ProductSum
-from acderiv.forms import BundleForm, ImageTable, ScalarForm, _substitute, bidegree_split_scalar
+from acderiv.forms import (
+    BundleForm,
+    ImageTable,
+    ScalarForm,
+    _substitute,
+    bidegree_split_scalar,
+    identity_vector_form,
+)
 
 BIG = 2**14  # x1^BIG * x1^BIG reaches the 2^15 guard bit of a 16-bit field
 
@@ -178,7 +185,8 @@ def test_interior_by_coefficient_class_matches_products_one_by_one(request, char
     chart = request.getfixturevalue(chart_name)
     rng = random.Random(f"classes-{seed}")
     phi = typed_phi(chart, seed)
-    assert phi.coefficient_classes()[1], "a typed form has proportional coefficients"
+    shared = [p for items in phi.coefficients().values() for *_, p in items if p is not None]
+    assert shared, "a typed form has proportional coefficients"
     for K in (phi, phi.conjugate(), -phi):
         for degree in (1, 2, 3):
             target = random_scalar(chart, degree, rng)
@@ -231,6 +239,15 @@ def test_interior_multiplies_once_per_class_and_key(std2, monkeypatch):
     assert got == ref_interior(phi, u)
 
 
+@pytest.mark.parametrize("chart_name", ["std2", "twisted2"])
+def test_constant_coefficients_of_K_are_scalings(request, chart_name, term_pairs):
+    chart = request.getfixturevalue(chart_name)
+    u = random_scalar(chart, 2, random.Random(f"identity-{chart_name}"))
+    I = identity_vector_form(chart)
+    assert interior(I, u) == u.scale(2)
+    assert term_pairs == [], "i_I u multiplies by no polynomial"
+
+
 # -- the exponent guard through the form layer ----------------------------------------
 
 
@@ -277,9 +294,9 @@ def test_substituted_products_that_cancel_still_raise(std2):
     # dx1 -> p dx1 and dx2 -> -p dx1 share p = x1 + x2: on f dx1 + f dx2 the grouped sum
     # f - f is 0, so only the guard of the products f * p, one per key, sees the overflow
     table = ImageTable()
-    kappa, p = table.factor(PolyScalar.variable(0, std2.dim) + PolyScalar.variable(1, std2.dim))
-    table[(0,)] = (((0,), kappa, p),)
-    table[(1,)] = (((0,), -kappa, p),)
+    _, c, kappa, p = table.item((0,), PolyScalar.variable(0, std2.dim) + PolyScalar.variable(1, std2.dim))
+    table[(0,)] = (((0,), c, kappa, p),)
+    table[(1,)] = (((0,), -c, -kappa, p),)
     top = PolyScalar.monomial(1, (2**15 - 1,) + (0,) * (std2.dim - 1), std2.dim)
     with pytest.raises(OverflowError):
         _substitute(ScalarForm(std2, {(0,): top, (1,): top}), table)

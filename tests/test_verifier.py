@@ -81,6 +81,20 @@ def test_r310_passes_on_standard_n2():
     assert report.status == "pass", report.worst_residual
 
 
+def test_r310_decides_by_J_not_by_chart_name():
+    from dataclasses import replace
+
+    from acderiv.chart import Chart, _standard_J
+    from acderiv.verifier import _CheckContext, _check_R310
+
+    ctx = _CheckContext(IdentityCheck(id="R3.10", chart="standard:2", seed=5))
+    ctx.spec = replace(ctx.spec, chart="bare:2")
+    ctx.chart = Chart(2, _standard_J(2), name="bare:2")
+    groups = _check_R310(ctx)
+    assert [label for label, _ in groups] == ["algebraic-identification"]
+    assert all(not residuals for _, residuals in groups)
+
+
 def test_negative_control_detects_corruption_on_twisted():
     report = check_identity(IdentityCheck(id="NEG-T3.8.1", chart="twisted:2", seed=5))
     assert report.status == "pass"  # pass means: the corrupted identity FAILED
