@@ -31,6 +31,13 @@ class Chart:
     it (forms.to_frame, forms.from_frame).  Every builtin chart carries the
     frame in which J is diagonal, A^{-1} J A = diag(i, -i, ..., i, -i): e'_{2a}
     spans T^{1,0} and e'_{2a+1} = conj(e'_{2a}) spans T^{0,1}.
+
+    Forms written in the frame live on the sibling chart framed, whose J is
+    A^{-1} J A and whose base is this chart, so that mixing them with
+    coordinate forms raises ("forms live on different charts").  A chart
+    without a frame is its own framed and base.  Where J is diagonal, as on a
+    builtin chart's framed, holomorphic is the set of axes a with
+    J e_a = i e_a, and bidegree projection selects index keys; else it is None.
     """
 
     def __init__(
@@ -50,9 +57,14 @@ class Chart:
         self._projectors: dict[str, AlgebraElement] = {}
         self._torsion = None
         self._coframe_cache: dict = {}
+        self._framed = None
+        self.base = self
         ident = _poly_identity(self.dim)
         if J * J != -ident:
             raise ValueError("J*J != -I: not an almost complex structure")
+        diagonal = not any(J[a][b] for a in range(self.dim) for b in range(self.dim) if a != b)
+        i = PolyScalar.constant(GaussRational(0, 1), self.dim)
+        self.holomorphic = frozenset(a for a in range(self.dim) if J[a][a] == i) if diagonal else None
         if frame is not None and frame[0] * frame[1] != ident:
             raise ValueError("A*A^{-1} != I: not a frame")
 
@@ -66,9 +78,25 @@ class Chart:
             self._projectors = {"1,0": half - half_iJ, "0,1": half + half_iJ}
         return self._projectors[side]
 
+    @property
+    def framed(self) -> "Chart":
+        if self.frame is None:
+            return self
+        if self._framed is None:
+            A, inverse = self.frame
+            self._framed = Chart(self.n, inverse * self.J * A, f"{self.name} frame")
+            self._framed.base = self
+        return self._framed
+
     def torsion(self):
+        """The torsion form, written in this chart's basis (the base chart's, moved in, on framed)."""
         if self._torsion is None:
-            self._torsion = torsion_form(self)
+            if self.base is self:
+                self._torsion = torsion_form(self)
+            else:
+                from .forms import to_frame
+
+                self._torsion = to_frame(self.base.torsion())
         return self._torsion
 
     def __repr__(self):

@@ -3,7 +3,9 @@
 Components are stored against the real coordinate coframe with Gaussian-rational
 polynomial coefficients; bidegree is a derived property obtained through the
 chart's projectors, never a storage format (no closed (p,q)-coframe exists on a
-non-integrable chart).
+non-integrable chart).  A form may also be written in its chart's frame
+(to_frame), on the sibling chart.framed: wedge, interior, d and bidegree
+projection then act there, and mixing the two bases raises.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import operator
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, starmap
+from itertools import chain, combinations, starmap
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .algebra import (
@@ -179,6 +181,8 @@ class ScalarForm:
         return ScalarForm(self.chart, _accumulate({}, items))
 
     def conjugate(self) -> "ScalarForm":
+        if self.chart.base is not self.chart:
+            raise ValueError("a complex frame does not commute with conjugation; move the form out first")
         return ScalarForm(self.chart, {k: f.conjugate() for k, f in self.terms.items()})
 
     # -- graded operations -------------------------------------------------
@@ -194,6 +198,8 @@ class ScalarForm:
         return ScalarForm(self.chart, _accumulate({}, items))
 
     def exterior_d(self) -> "ScalarForm":
+        if self.chart.base is not self.chart:
+            return _frame_d(self)
         items = (
             (*_merge_sign((axis,), key), f.partial_derivative(axis), None)
             for key, f in self.terms.items()
@@ -301,6 +307,11 @@ class VectorForm:
     def value_projected(self, side: str) -> "VectorForm":
         """Project the tangent value onto T^{1,0} (side "1,0") or T^{0,1} ("0,1")."""
         mat = self.chart.projector(side)
+        holomorphic = self.chart.holomorphic
+        if holomorphic is not None:
+            zero = ScalarForm.zero(self.chart)
+            comps = [c if (a in holomorphic) == (side == "1,0") else zero for a, c in enumerate(self.comps)]
+            return VectorForm(self.chart, self.degree, comps)
         return VectorForm(self.chart, self.degree, _matrix_times(self.chart, mat, self.comps))
 
     def __eq__(self, other):
@@ -509,6 +520,8 @@ def fn_bracket(K: VectorForm, L: VectorForm) -> VectorForm:
     if K.chart is not L.chart:
         raise ValueError("forms live on different charts")
     chart = K.chart
+    if chart.base is not chart:
+        raise ValueError("fn_bracket reads off coordinate components; move the forms out of the frame first")
     sign = 1 if (K.degree * L.degree) % 2 == 0 else -1
     comps = []
     for axis in range(chart.dim):
@@ -638,8 +651,8 @@ def _products(contributions, table: ImageTable, alpha: ScalarForm):
             yield key, 1, total, p
 
 
-def _substitute(alpha: ScalarForm, table: ImageTable) -> ScalarForm:
-    """alpha with each dx^key replaced by its image table[key], exact for any coefficients.
+def _substituted(alpha: ScalarForm, table: ImageTable):
+    """The _accumulate items of alpha with each dx^key replaced by its image table[key].
 
     Each term f dx^key contributes f * c dx^image key for each item of
     table[key], multiplied out by _products.  Every image is built before
@@ -647,7 +660,12 @@ def _substitute(alpha: ScalarForm, table: ImageTable) -> ScalarForm:
     """
     rows = [(f, table[key]) for key, f in alpha.terms.items()]
     items = ((item[0], 1, f, item) for f, items in rows for item in items)
-    return ScalarForm(alpha.chart, _accumulate({}, _products(items, table, alpha)))
+    return _products(items, table, alpha)
+
+
+def _substitute(alpha: ScalarForm, table: ImageTable, chart: "Chart | None" = None) -> ScalarForm:
+    """alpha substituted by table (_substituted), exact for any coefficients, on chart or alpha's."""
+    return ScalarForm(chart or alpha.chart, _accumulate({}, _substituted(alpha, table)))
 
 
 # -- bidegree machinery ---------------------------------------------------------
@@ -674,6 +692,10 @@ def bidegree_split_scalar(alpha: ScalarForm, p: int, q: int) -> ScalarForm:
     if alpha.degree() != p + q:
         raise ValueError(f"(p, q) = ({p}, {q}) does not match form degree {alpha.degree()}")
     chart = alpha.chart
+    if chart.holomorphic is not None:
+        return ScalarForm(
+            chart, {key: f for key, f in alpha.terms.items() if len(chart.holomorphic.intersection(key)) == p}
+        )
     image = ImageTable(lambda key: _bidegree_image(chart, key, p))
     return _substitute(alpha, chart._coframe_cache.setdefault(("bidegree", p), image))
 
@@ -706,42 +728,85 @@ def bidegree_split(form, p: int, q: int, value_side: str | None = None):
 # -- the chart's frame -------------------------------------------------------------
 
 
+def _frame_table(base: "Chart", inward: bool) -> ImageTable:
+    """dx^key -> its image in the frame (inward), or theta^key -> its image in coordinates."""
+    mat = base.frame[0 if inward else 1]
+    image = ImageTable(lambda key: _wedge_rows(base, key, [mat] * len(key)))
+    return base._coframe_cache.setdefault(("frame", inward), image)
+
+
 def _change_frame(form, inward: bool):
-    chart = form.chart
-    if chart.frame is None:
+    base = form.chart.base
+    if (form.chart is base) != inward or base.frame is None:
         return form
-    mat = chart.frame[0 if inward else 1]
-    image = ImageTable(lambda key: _wedge_rows(chart, key, [mat] * len(key)))
-    table = chart._coframe_cache.setdefault(("frame", inward), image)
+    chart = base.framed if inward else base
+    table = _frame_table(base, inward)
     if isinstance(form, ScalarForm):
-        return _substitute(form, table)
-    comps = [_substitute(c, table) for c in form.comps]
+        return _substitute(form, table, chart)
+    comps = [_substitute(c, table, chart) for c in form.comps]
     if isinstance(form, BundleForm):
         return BundleForm(chart, comps)
-    values = chart.frame[1 if inward else 0]
+    values = base.frame[1 if inward else 0]
     return VectorForm(chart, form.degree, _matrix_times(chart, values, comps))
 
 
 def to_frame(form):
-    """A scalar, vector or bundle form written in its chart's frame; form itself if there is none.
+    """A scalar, vector or bundle form written in its chart's frame, on chart.framed.
 
     Each dx^k becomes sum_b A[k][b] theta^b, and a vector form's values move
-    by A^{-1} (e_a = sum_b A^{-1}[b][a] e'_b).  The result keeps its type and
-    chart; its index keys and value axes now count theta^b and e'_b.  Wedge
-    and interior are tensorial, so they commute with the change; d does not.
-    In a builtin chart's frame, e'_{2a} and theta^{2a} are of type (1,0) and
-    e'_{2a+1} and theta^{2a+1} of type (0,1), so the coefficients are complex.
+    by A^{-1} (e_a = sum_b A^{-1}[b][a] e'_b); index keys and value axes then
+    count theta^b and e'_b.  A form already in the frame, or on a chart
+    without one, is returned as it is.  In a builtin chart's frame, e'_{2a}
+    and theta^{2a} are of type (1,0) and e'_{2a+1} and theta^{2a+1} of type
+    (0,1), so the coefficients are complex.
     """
     return _change_frame(form, True)
 
 
 def from_frame(form):
-    """The inverse of to_frame: theta^b = sum_k A^{-1}[b][k] dx^k, values by A."""
+    """The inverse of to_frame: theta^b = sum_k A^{-1}[b][k] dx^k, values by A, on chart.base."""
     return _change_frame(form, False)
 
 
+def _frame_d_terms(alpha: ScalarForm, rows):
+    """Contributions (key, sign, d_k f, item) of sum_k d_k f dx^k wedge theta^I, rows[k] the items of dx^k."""
+    for key, f in alpha.terms.items():
+        for k, items in enumerate(rows):
+            df = f.partial_derivative(k)
+            if df:
+                for item in items:
+                    merged, sign = _merge_sign(item[0], key)
+                    if merged is not None:
+                        yield merged, sign, df, item
+
+
+def _frame_d(alpha: ScalarForm) -> ScalarForm:
+    """d of a form written in the frame: d(f theta^I) = df wedge theta^I + f d(theta^I).
+
+    df = sum_k d_k f dx^k with dx^k = sum_b A[k][b] theta^b, so the first half
+    is the coframe table's images of the dx^k; the second is one substitution
+    by the images d(theta^I), built once per key from the coordinate d
+    (empty where A is constant, as on a standard chart).
+    """
+    chart, base = alpha.chart, alpha.chart.base
+    coframe = _frame_table(base, True)
+    rows = [coframe[(k,)] for k in range(chart.dim)]
+    one = PolyScalar.one(chart.dim)
+    d_theta = chart._coframe_cache.setdefault(
+        "d", ImageTable(lambda key: to_frame(from_frame(ScalarForm(chart, {key: one})).exterior_d()))
+    )
+    halves = chain(_products(_frame_d_terms(alpha, rows), coframe, alpha), _substituted(alpha, d_theta))
+    return ScalarForm(chart, _accumulate({}, halves))
+
+
 def conjugate_form(form):
-    """Coefficientwise conjugation; swaps (p,q) <-> (q,p) and the value sides."""
+    """Complex conjugation; swaps (p,q) <-> (q,p) and the value sides.
+
+    Coefficientwise in coordinates; a form written in a complex frame is
+    conjugated there and moved back in.
+    """
+    if form.chart.base is not form.chart:
+        return to_frame(from_frame(form).conjugate())
     return form.conjugate()
 
 

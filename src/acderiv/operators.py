@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import operator
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -30,6 +31,7 @@ from .forms import (
     VectorForm,
     _substitute,
     bidegree_split,
+    conjugate_form,
     from_frame,
     interior,
     random_scalar_form,
@@ -70,7 +72,14 @@ class Connection:
         zero = ScalarForm.zero(chart)
         return Connection(chart, rank, [[zero] * rank for _ in range(rank)])
 
+    def to_frame(self) -> "Connection":
+        """The same connection with omega written in its chart's frame (forms.to_frame)."""
+        omega = [[to_frame(entry) for entry in row] for row in self.omega]
+        return Connection(self.chart.framed, self.rank, omega)
+
     def apply(self, u: BundleForm) -> BundleForm:
+        if u.chart is not self.chart:
+            raise ValueError("forms live on different charts")
         if u.rank != self.rank:
             raise ValueError(f"form rank {u.rank} != connection rank {self.rank}")
         comps = []
@@ -206,7 +215,7 @@ def connection_split(conn: Connection):
         DerivationOp(1, shifted(1, 0), "∇¹⁰"),
         DerivationOp(1, shifted(0, 1), "∇⁰¹"),
         interior_op(theta),
-        interior_op(theta.conjugate()),
+        interior_op(conjugate_form(theta)),
     )
     conn._split = split
     return split
@@ -266,28 +275,37 @@ def _exp_tables(phi: VectorForm, order: int) -> Tuple[ImageTable, ImageTable]:
     """The images sum_{j<=order} s^j/j! (i_phi)^j dx^I of all basis forms, for s = 1 and s = -1.
 
     Both come from one set of powers, each key stopping at its own first
-    zero power; an image key met at two orders keeps two items.  The table
-    of s = -1 negates the odd orders' items of the other, sharing the rest.
-    NotNilpotentError is raised if a power order+1 is nonzero: i_phi is
-    C^infinity-linear, so vanishing on the 2^dim basis forms is vanishing on
-    all forms.
+    zero power; an image key met at two orders keeps two items.  Only the
+    coefficients that share their image key and set of monomials with
+    another one can be proportional to it, so only those are factored
+    (ImageTable.item).  The table of s = -1 negates the odd orders' items of
+    the other, sharing the rest.  NotNilpotentError is raised if a power
+    order+1 is nonzero: i_phi is C^infinity-linear, so vanishing on the
+    2^dim basis forms is vanishing on all forms.
     """
     chart = phi.chart
-    plus, parities = ImageTable(), {}
+    terms, parities = {}, {}
     for degree in range(chart.dim + 1):
         for key in combinations(range(chart.dim), degree):
-            items, odd = [], []
+            images, odd = [], []
             power = ScalarForm(chart, {key: PolyScalar.one(chart.dim)})
             for j in range(order + 1):
                 weight = Fraction(1, factorial(j))
-                items += [plus.item(k, c.scale(weight) if j > 1 else c) for k, c in power.terms.items()]
+                images += [(k, c.scale(weight) if j > 1 else c) for k, c in power.terms.items()]
                 odd += [j % 2] * len(power.terms)
                 power = interior(phi, power)
                 if not power:
                     break
             if power:
                 raise NotNilpotentError(f"(i_phi)^{order + 1} does not vanish on the basis form of {key}")
-            plus[key], parities[key] = tuple(items), odd
+            terms[key], parities[key] = images, odd
+    shapes = Counter((k, frozenset(c.terms)) for images in terms.values() for k, c in images)
+    plus = ImageTable()
+    for key, images in terms.items():
+        plus[key] = tuple(
+            plus.item(k, c) if len(c.terms) == 1 or shapes[k, frozenset(c.terms)] > 1 else (k, c, 1, None)
+            for k, c in images
+        )
     plus.keep_shared(True)
     minus = ImageTable()
     minus.span = plus.span
@@ -303,11 +321,10 @@ def exp_interior(phi: VectorForm) -> Tuple[DerivationOp, DerivationOp]:
     The truncation is exact only if (i_phi)^{n+1} = 0; that is certified here,
     once per call, and NotNilpotentError is raised when it fails.  Both maps
     are one substitution of the images of the basis forms (_exp_tables),
-    built once per call in the chart's frame (forms.to_frame): each input is
-    moved in and its image back out, which is exact in any frame because
-    i_phi is tensorial.  In a builtin chart's frame J is diagonal, so a phi
-    of type (0,1) valued in T^{1,0} has only n^2 nonzero coefficients, at
-    (1,0) values and (0,1) keys: i_phi kills every (0,1) basis covector, and
+    built once per call in phi's basis, and act on forms written in it.  In a
+    builtin chart's frame (forms.to_frame) J is diagonal, so a phi of type
+    (0,1) valued in T^{1,0} has only n^2 nonzero coefficients, at (1,0)
+    values and (0,1) keys: i_phi kills every (0,1) basis covector, and
     (i_phi)^j theta^I vanishes once j exceeds the number of (1,0) slots of I.
     """
     if phi.degree != 1:
@@ -315,12 +332,13 @@ def exp_interior(phi: VectorForm) -> Tuple[DerivationOp, DerivationOp]:
 
     def exp_op(table: ImageTable, tag: str) -> DerivationOp:
         def act(u: BundleForm) -> BundleForm:
-            u = to_frame(u)
-            return from_frame(BundleForm(u.chart, [_substitute(c, table) for c in u.comps]))
+            if u.chart is not phi.chart:
+                raise ValueError("forms live on different charts")
+            return BundleForm(u.chart, [_substitute(c, table) for c in u.comps])
 
         return DerivationOp(0, act, tag)
 
-    plus, minus = _exp_tables(to_frame(phi), phi.chart.n)
+    plus, minus = _exp_tables(phi, phi.chart.n)
     return exp_op(plus, "e^{i_φ}"), exp_op(minus, "e^{-i_φ}")
 
 
@@ -405,17 +423,21 @@ def conjugation_residuals(
     """[(label, nonzero (e^{-i_phi} D e^{i_phi} - R) applications over the family)]
     for each group (label, D, R) asserting e^{-i_phi} D e^{i_phi} = R.
 
-    The conjugation is the direct truncated series, no closed form: it is the
+    Everything runs in the frame of phi's chart (forms.to_frame), where D and
+    R must act: each member u moves in once, and only a nonzero residual moves
+    back out, which is exact because the change is invertible.  The
+    conjugation is the direct truncated series, no closed form: it is the
     brute-force oracle the bracket formulas are compared against.  Per member
-    u it applies e^{i_phi} once, each D once, e^{-i_phi} once per distinct D
+    it applies e^{i_phi} once, each D once, e^{-i_phi} once per distinct D
     image (exactly equal images share it) in the first group that needs it,
     and each distinct R once; every value is dropped after the last group that
     needs it.  Residuals come in family order.
     """
-    exp_plus, exp_minus = exp_interior(phi)
+    exp_plus, exp_minus = exp_interior(to_frame(phi))
     rhs_ops, rhs_slot = _distinct(R for _, _, R in groups)
     out = [(label, []) for label, _, _ in groups]
     for member, u in family:
+        u = to_frame(u)
         inner = exp_plus.action(u)
         lhs, lhs_slot = _distinct(D.action(inner) for _, D, _ in groups)
         del inner
@@ -432,7 +454,7 @@ def conjugation_residuals(
             if h not in rhs_slot[g + 1:]:
                 rhs[h] = None
             if not res.is_zero():
-                bad.append((member, res))
+                bad.append((member, from_frame(res)))
     return out
 
 

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from acderiv import cli, verifier
+from acderiv.operators import NotNilpotentError
 from acderiv.verifier import REGISTRY_IDS, IdentityReport
 
 FAST_IDS = "EQ2.3,L3.7.3,R3.10,NEG-T3.8.1"
@@ -168,6 +169,24 @@ def test_parallel_flag_matches_serial(tmp_path):
         {k: v for k, v in r.items() if k != "millis"} for r in doc["reports"]
     ]
     assert strip(doc_s) == strip(doc_p)
+
+
+@pytest.mark.parametrize(
+    "exc",
+    [OverflowError("exponent 32768 overflows its field"), NotNilpotentError("(i_phi)^3 does not vanish")],
+)
+def test_checker_limit_is_an_error_not_a_failure(monkeypatch, tmp_path, exc):
+    # the exponent guard and the series certificate say the checker cannot decide, not that
+    # the identity is false
+    def limited(ctx):
+        raise exc
+
+    monkeypatch.setitem(verifier._REGISTRY_BY_ID, "EQ2.3", ("EQ2.3", "limited", limited))
+    out = tmp_path / "r.json"
+    assert run_cli(["--chart", "standard:1", "--rank", "1", "--ids", "EQ2.3", "--out", str(out)]) == 3
+    [report] = json.loads(out.read_text())["reports"]
+    assert report["error"] is True and report["pass"] is False
+    assert report["reason"] == f"checker limit: {exc}"
 
 
 @pytest.mark.parametrize("exc", [KeyError("missing"), IndexError("list index out of range")])

@@ -15,16 +15,21 @@ from acderiv import (
 )
 from acderiv.algebra import PolyScalar
 from acderiv.forms import (
+    BundleForm,
     ScalarForm,
+    VectorForm,
     conjugate_form,
+    contract,
+    fn_bracket,
     from_frame,
+    interior,
     random_bundle_form,
     random_scalar_form,
     random_vector_form,
     to_frame,
     vector_one_form_from_matrix,
 )
-from acderiv.operators import generator_family, interior_op, series
+from acderiv.operators import connection_split, generator_family, interior_op, random_connection, series
 from acderiv.verifier import IdentityCheck, parse_chart_name
 
 
@@ -66,8 +71,10 @@ def random_forms(chart, seed):
 
 
 def test_from_frame_inverts_to_frame(framed):
+    # forms written in the frame live on the sibling chart framed.framed
     for form in random_forms(framed, "frame-round-trip"):
         assert from_frame(to_frame(form)) == form
+    for form in random_forms(framed.framed, "frame-round-trip"):
         assert to_frame(from_frame(form)) == form
 
 
@@ -76,7 +83,7 @@ def test_to_frame_moves_J_to_its_diagonal_form(framed, diagonal_J):
     diagonal = diagonal_J(framed.n)
     J_form = vector_one_form_from_matrix(framed, framed.J)
     assert J_form != vector_one_form_from_matrix(framed, diagonal)
-    assert to_frame(J_form) == vector_one_form_from_matrix(framed, diagonal)
+    assert to_frame(J_form) == vector_one_form_from_matrix(framed.framed, diagonal)
 
 
 def test_a_phi_of_type_01_valued_in_T10_has_n2_coefficients_in_the_frame(framed):
@@ -99,6 +106,80 @@ def test_frameless_maps_return_their_input():
     ):
         assert to_frame(form) is form
         assert from_frame(form) is form
+    assert chart.framed is chart is chart.base
+
+
+# -- operators written in the frame, against their coordinate versions conjugated by the change
+
+
+@pytest.mark.parametrize("chart_name", sorted(EXP_CHARTS))
+def test_frame_d_is_the_coordinate_d_moved_in(chart_name):
+    chart = EXP_CHARTS[chart_name]()
+    rng = random.Random(f"frame-d-{chart_name}")
+    for degree in range(chart.dim + 1):
+        alpha = random_scalar_form(chart.framed, degree, 2, rng)
+        d_alpha = alpha.exterior_d()
+        assert d_alpha == to_frame(from_frame(alpha).exterior_d())
+        assert d_alpha.exterior_d().is_zero()
+
+
+@pytest.mark.parametrize("chart_name", sorted(EXP_CHARTS))
+def test_connection_and_its_split_in_the_frame_are_the_coordinate_ones_moved_in(chart_name):
+    chart = EXP_CHARTS[chart_name]()
+    conn = random_connection(chart, 2, 1, f"frame-conn-{chart_name}")
+    framed = conn.to_frame()
+    assert framed.chart is chart.framed
+    ops = zip((conn.apply, *connection_split(conn)[:2]), (framed.apply, *connection_split(framed)[:2]))
+    rng = random.Random(f"frame-conn-probes-{chart_name}")
+    probes = [random_bundle_form(chart, 2, degree, 1, rng) for degree in range(chart.dim + 1)]
+    for coordinate_op, frame_op in ops:
+        for u in probes:
+            assert frame_op(to_frame(u)) == to_frame(coordinate_op(u))
+
+
+@pytest.mark.parametrize("chart_name", sorted(EXP_CHARTS))
+def test_bidegree_split_in_the_frame_is_the_coordinate_split_moved_in(chart_name):
+    chart = EXP_CHARTS[chart_name]()
+    rng = random.Random(f"frame-split-{chart_name}")
+    for degree in range(chart.dim + 1):
+        forms = (random_scalar_form(chart, degree, 1, rng), random_bundle_form(chart, 2, degree, 1, rng))
+        vector = random_vector_form(chart, degree, 1, rng)
+        for p in range(degree + 1):
+            for form in forms:
+                assert bidegree_split(to_frame(form), p, degree - p) == to_frame(bidegree_split(form, p, degree - p))
+            for side in ("1,0", "0,1"):
+                split = bidegree_split(vector, p, degree - p, side)
+                assert bidegree_split(to_frame(vector), p, degree - p, side) == to_frame(split)
+
+
+def test_mixing_frame_and_coordinate_forms_raises(framed):
+    rng = random.Random("frame-mixing")
+    alpha = random_scalar_form(framed, 1, 1, rng)
+    K = random_vector_form(framed, 1, 1, rng)
+    u = random_bundle_form(framed, 1, 1, 1, rng)
+    conn = random_connection(framed, 1, 1, "frame-mixing-conn")
+    phi = random_form(framed, (0, 1), "1,0", 1, "frame-mixing-phi")
+    mixed = [
+        lambda: alpha + to_frame(alpha),
+        lambda: alpha.wedge(to_frame(alpha)),
+        lambda: interior(to_frame(K), alpha),
+        lambda: interior(K, to_frame(alpha)),
+        lambda: contract(K, to_frame(K)),
+        lambda: K - to_frame(K),
+        lambda: u + to_frame(u),
+        lambda: conn.apply(to_frame(u)),
+        lambda: conn.to_frame().apply(u),
+        lambda: exp_interior(to_frame(phi))[0](u),
+        lambda: exp_interior(phi)[1](to_frame(u)),
+        # fn_bracket reads coordinate components, and a complex frame does not commute with conjugation
+        lambda: fn_bracket(to_frame(K), to_frame(K)),
+        lambda: to_frame(K).conjugate(),
+    ]
+    for combine in mixed:
+        with pytest.raises(ValueError):
+            combine()
+    assert to_frame(alpha) != alpha and to_frame(K) != K
+    assert conjugate_form(to_frame(K)) == to_frame(conjugate_form(K))
 
 
 @pytest.mark.parametrize("chart_name", sorted(EXP_CHARTS))
@@ -118,14 +199,14 @@ def test_exp_of_a_conjugate_in_the_frame_equals_the_coordinate_series(chart_name
 
 def _assert_exp_matches_series(chart, chart_name, phi):
     assert not phi.is_zero()
-    exp_plus, exp_minus = exp_interior(phi)
+    exp_plus, exp_minus = exp_interior(to_frame(phi))
     rng = random.Random(f"frame-probes-{chart_name}")
     probes = [u for _, u in generator_family(chart, 1)]
     probes += [random_bundle_form(chart, 2, degree, 1, rng) for degree in range(chart.dim + 1)]
     for op, K in ((exp_plus, phi), (exp_minus, -phi)):
         step = interior_op(K).action
         for u in probes:
-            assert op(u) == series(u, step, chart.n)
+            assert op(to_frame(u)) == to_frame(series(u, step, chart.n))
 
 
 def test_coframe_images_are_memoised(framed):
@@ -171,9 +252,9 @@ def test_exp_on_twisted3_makes_fewer_term_pairs_than_the_series(term_pairs):
     spec = IdentityCheck("T3.8.1", "twisted:3", seed=7)
     phi = random_form(chart, (0, 1), "1,0", spec.degree, spec.sub_seed("phi"))
     u = random_bundle_form(chart, 1, 3, 1, random.Random("twisted3-term-pairs"))
-    exp_plus, exp_minus = exp_interior(phi)
+    exp_plus, exp_minus = exp_interior(to_frame(phi))
     term_pairs.clear()
-    image = exp_minus(exp_plus(u))
+    image = from_frame(exp_minus(exp_plus(to_frame(u))))
     table_pairs, term_pairs[:] = sum(term_pairs), []
     expected = series(series(u, interior_op(phi).action, chart.n), interior_op(-phi).action, chart.n)
     series_pairs = sum(term_pairs)

@@ -3,6 +3,7 @@
 import dataclasses
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import factorial
 
 import pytest
@@ -34,10 +35,13 @@ from acderiv import (
 )
 from acderiv.forms import (
     BundleForm,
+    ImageTable,
     ScalarForm,
+    from_frame,
     random_bundle_form,
     random_scalar_form,
     random_vector_form,
+    to_frame,
 )
 from acderiv import operators
 from acderiv.operators import (
@@ -410,8 +414,48 @@ def test_conjugate_d_integrable_closed_form(std2):
     assert ops_equal(lhs, rhs, std2, 1)
 
 
+def tables_factoring_every_coefficient(phi, order):
+    """_exp_tables as it was when every multi-term coefficient was factored and interned."""
+    chart = phi.chart
+    plus, parities = ImageTable(), {}
+    for degree in range(chart.dim + 1):
+        for key in combinations(range(chart.dim), degree):
+            items, odd = [], []
+            power = ScalarForm(chart, {key: PolyScalar.one(chart.dim)})
+            for j in range(order + 1):
+                weight = Fraction(1, factorial(j))
+                items += [plus.item(k, c.scale(weight) if j > 1 else c) for k, c in power.terms.items()]
+                odd += [j % 2] * len(power.terms)
+                power = interior(phi, power)
+            plus[key], parities[key] = tuple(items), odd
+    plus.keep_shared(True)
+    minus = {
+        key: tuple(ImageTable.negated(item) if o else item for item, o in zip(items, parities[key]))
+        for key, items in plus.items()
+    }
+    return plus, minus
+
+
+def test_exp_tables_factor_only_coefficients_that_can_meet(monkeypatch):
+    # T3.8.6's phi and psibar at seed 7 on standard:2, in the frame: the same tables, fewer scalings
+    _, phi, psibar, _ = t38_inputs("T3.8.6", "standard:2")
+    scalings = []
+    scale = PolyScalar.scale
+    monkeypatch.setattr(PolyScalar, "scale", lambda self, value: scalings.append(1) or scale(self, value))
+    for form in (phi, psibar):
+        form = to_frame(form)
+        expected = tables_factoring_every_coefficient(form, form.chart.n)
+        factored_every, scalings[:] = len(scalings), []
+        plus, minus = operators._exp_tables(form, form.chart.n)
+        assert (dict(plus), dict(minus)) == (dict(expected[0]), expected[1])
+        assert plus.span == minus.span == expected[0].span
+        assert len(scalings) < factored_every
+        scalings.clear()
+
+
 def count_exponentials(monkeypatch, form):
-    """Record each input that e^{+i_form} and e^{-i_form} from exp_interior are applied to."""
+    """Record each input that e^{+i_form} and e^{-i_form} from exp_interior are applied to,
+    form written in its chart's frame as conjugation_residuals applies them."""
     applied = {"plus": [], "minus": []}
     real = operators.exp_interior
 
@@ -424,7 +468,7 @@ def count_exponentials(monkeypatch, form):
 
     def exp_interior(phi):
         exp_plus, exp_minus = real(phi)
-        if phi != form:
+        if phi != to_frame(form):
             return exp_plus, exp_minus
         return counted(exp_plus, applied["plus"]), counted(exp_minus, applied["minus"])
 
@@ -441,30 +485,42 @@ def t38_inputs(check, chart, rank=2, degree=2):
     return conn, phi, psibar, ctx.family()
 
 
+def written_on(chart, form):
+    """form written in chart's basis: the frame on a chart's framed sibling, else coordinates."""
+    return from_frame(form) if chart.base is chart else to_frame(form)
+
+
 def t381_rhs(conn, phi, quad=Fraction(1, 2)):
-    return nabla(conn) - lie_derivative(phi, conn) - interior_op(_closed_form_1(phi, quad))
+    """T3.8.1's right-hand side for a coordinate phi, acting in conn's basis."""
+    M = written_on(conn.chart, _closed_form_1(phi, quad))
+    return nabla(conn) - lie_derivative(written_on(conn.chart, phi), conn) - interior_op(M)
 
 
 def test_joint_conjugation_equals_separate_conjugations(monkeypatch):
     # degree 1 keeps standard:2 fast; there [phi, phi] != 0, so quad = 1 changes the image
     conn, phi, psibar, _ = t38_inputs("T3.8.6", "standard:2", rank=1, degree=1)
     fam = generator_family(phi.chart, 1)
-    rhs = nabla(conn)
-    groups = [
-        ("conjugated", conjugate_operator(nabla(conn), phi), rhs),
-        ("closed", t381_rhs(conn, phi), rhs),
-        ("corrupted", t381_rhs(conn, phi, Fraction(1)), rhs),
-    ]
+
+    def groups(conn):
+        rhs = nabla(conn)
+        return [
+            ("conjugated", conjugate_operator(nabla(conn), written_on(conn.chart, phi)), rhs),
+            ("closed", t381_rhs(conn, phi), rhs),
+            ("corrupted", t381_rhs(conn, phi, Fraction(1)), rhs),
+        ]
+
+    # conjugation_residuals runs in the frame; the separate conjugations in coordinates
     separate = [
-        (label, operator_residuals(conjugate_operator(D, psibar), R, fam)) for label, D, R in groups
+        (label, operator_residuals(conjugate_operator(D, psibar), R, fam)) for label, D, R in groups(conn)
     ]
+    framed_groups = groups(conn.to_frame())
     applied = count_exponentials(monkeypatch, psibar)
-    assert conjugation_residuals(psibar, groups, fam) == separate
-    assert applied["plus"] == [u for _, u in fam]
+    assert conjugation_residuals(psibar, framed_groups, fam) == separate
+    assert applied["plus"] == [to_frame(u) for _, u in fam]
     per_member = []
     for member in fam:
         before = len(applied["minus"])
-        conjugation_residuals(psibar, groups, [member])
+        conjugation_residuals(psibar, framed_groups, [member])
         per_member.append(len(applied["minus"]) - before)
     # equal inner images (T3.8.1 holds) share e^{-i_psibar}; the corrupted one does not
     assert set(per_member) == {1, 2}
@@ -472,21 +528,27 @@ def test_joint_conjugation_equals_separate_conjugations(monkeypatch):
 
 def test_conjugation_residuals_match_per_group_residuals():
     conn, phi, _, fam = t38_inputs("T3.8.6", "twisted:2", rank=1, degree=1)
-    nab = nabla(conn)
+
+    def groups(conn, rhs_op=lambda op: op):
+        exact = rhs_op(t381_rhs(conn, phi))
+        return [
+            ("corrupted-T3.8.1", nabla(conn), t381_rhs(conn, phi, Fraction(1))),
+            ("T3.8.1", nabla(conn), exact),
+            ("shared-rhs", t381_rhs(conn, phi), exact),
+        ]
+
     applied = []
-    exact = t381_rhs(conn, phi)
-    shared = dataclasses.replace(exact, action=lambda u: applied.append(u) or exact.action(u))
-    groups = [
-        ("corrupted-T3.8.1", nab, t381_rhs(conn, phi, Fraction(1))),
-        ("T3.8.1", nab, shared),
-        ("shared-rhs", t381_rhs(conn, phi), shared),
-    ]
-    got = conjugation_residuals(phi, groups, fam)
+
+    def shared(op):
+        return dataclasses.replace(op, action=lambda u: applied.append(u) or op.action(u))
+
+    got = conjugation_residuals(phi, groups(conn.to_frame(), shared), fam)
     assert len(applied) == len(fam), "a shared operator runs once per member"
     assert got[0][1], "the corrupted group must fail"
     assert not got[1][1], "T3.8.1 must hold"
+    # residuals leave the frame: they equal the conjugation run in coordinates
     assert got == [
-        (label, operator_residuals(conjugate_operator(D, phi), R, fam)) for label, D, R in groups
+        (label, operator_residuals(conjugate_operator(D, phi), R, fam)) for label, D, R in groups(conn)
     ]
 
 
@@ -505,7 +567,7 @@ def test_T38_applies_the_outer_exponential_once_per_member(monkeypatch, check, b
     _, phi, psibar, fam = t38_inputs(check, "standard:1")
     applied = count_exponentials(monkeypatch, {"phi": phi, "psibar": psibar}[by])
     assert check_identity(IdentityCheck(id=check, chart="standard:1", seed=7)).status == "pass"
-    assert applied["plus"] == [u for _, u in fam]
+    assert applied["plus"] == [to_frame(u) for _, u in fam]
     # e^{-i} runs once per distinct inner image of the check's two operators
     assert len(fam) <= len(applied["minus"]) <= 2 * len(fam)
     assert (len(applied["minus"]) == len(fam)) == images_agree

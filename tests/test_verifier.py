@@ -6,13 +6,33 @@ from math import factorial
 
 import pytest
 
-from acderiv import conjugate_form, fn_bracket, iterated_nr_bracket, nr_bracket, random_form
-from acderiv.operators import series
+from acderiv import (
+    bidegree_split,
+    conjugate_form,
+    fn_bracket,
+    iterated_nr_bracket,
+    lie_derivative,
+    nabla,
+    nr_bracket,
+    random_form,
+)
+from acderiv.forms import from_frame, to_frame
+from acderiv.operators import (
+    conjugate_operator,
+    connection_split,
+    interior_op,
+    operator_residuals,
+    series,
+)
 from acderiv.verifier import (
     REGISTRY_IDS,
     IdentityCheck,
+    _CheckContext,
+    _check_T381,
+    _check_T382,
     _closed_form_1,
     _nr_sum,
+    _verdict,
     check_identity,
     parse_chart_name,
     registry_descriptions,
@@ -148,7 +168,7 @@ def test_nr_sum_matches_iterated_brackets(count, shift):
             expected = base.scale(0)
             for j in range(count + 1):
                 expected = expected + brackets[j].scale(Fraction(1, factorial(j + shift)))
-            assert _nr_sum(base, psibar, count, shift) == expected
+            assert from_frame(_nr_sum(to_frame(base), to_frame(psibar), count, shift)) == expected
 
 
 def test_closed_form_1_is_the_bracket_series(twisted2):
@@ -156,8 +176,9 @@ def test_closed_form_1_is_the_bracket_series(twisted2):
     ff = fn_bracket(phi, phi)
     sixth = nr_bracket(ff, phi).scale(Fraction(1, 6))
     assert not sixth.is_zero()
-    assert _closed_form_1(phi) == ff.scale(Fraction(1, 2)) + sixth
-    assert _closed_form_1(phi, Fraction(1)) == ff + sixth
+    # phi is given in coordinates and M is written in the frame
+    assert from_frame(_closed_form_1(phi)) == ff.scale(Fraction(1, 2)) + sixth
+    assert from_frame(_closed_form_1(phi, Fraction(1))) == ff + sixth
 
 
 def test_nr_sum_on_twisted3_makes_fewer_term_pairs_than_in_coordinates(term_pairs):
@@ -168,11 +189,52 @@ def test_nr_sum_on_twisted3_makes_fewer_term_pairs_than_in_coordinates(term_pair
     phi = random_form(chart, (0, 1), "1,0", spec.degree, spec.sub_seed("phi"))
     psibar = conjugate_form(random_form(chart, (0, 1), "1,0", spec.degree, spec.sub_seed("psi")))
     term_pairs.clear()
-    framed = _nr_sum(phi, psibar, 2, 0)
+    framed = from_frame(_nr_sum(to_frame(phi), to_frame(psibar), 2, 0))
     frame_pairs, term_pairs[:] = sum(term_pairs), []
     expected = series(phi, lambda bracket: nr_bracket(bracket, psibar), 2)
     coordinate_pairs = sum(term_pairs)
     assert framed == expected
+    assert frame_pairs < coordinate_pairs
+
+
+def test_negative_control_on_twisted2_reports_the_coordinate_residuals():
+    # the corrupted T3.8.1 runs in the frame; its residuals leave it only to be reported, so
+    # they, and the worst one's string, are those of the conjugation run in coordinates
+    spec = IdentityCheck("NEG-T3.8.1", "twisted:2", seed=7)
+    [(label, framed)] = _check_T381(_CheckContext(spec), corrupt=True)
+    ctx = _CheckContext(spec)
+    conn, phi, fam = ctx.connection(), ctx.form("phi"), ctx.family()
+    nab = nabla(conn)
+    rhs = nab - lie_derivative(phi, conn) - interior_op(from_frame(_closed_form_1(phi, Fraction(1))))
+    coordinate = operator_residuals(conjugate_operator(nab, phi), rhs, fam)
+    assert len(framed) == len(coordinate) == 42
+    assert framed == coordinate
+    assert _verdict([(label, framed)]) == _verdict([(label, coordinate)])
+    assert check_identity(spec).status == "pass"
+
+
+def test_T382_on_twisted3_makes_fewer_term_pairs_than_in_coordinates(term_pairs):
+    # every seventh family member and the random 1-form: the random 2- and 3-forms alone take
+    # about a minute in coordinates
+    spec = IdentityCheck("T3.8.2", "twisted:3", seed=7)
+    ctx = _CheckContext(spec)
+    sample = [member for k, member in enumerate(ctx.family()) if k % 7 == 0 or member[0] == "random-1-form"]
+    ctx.family = lambda rank=None: sample
+    term_pairs.clear()
+    framed = _check_T382(ctx)
+    frame_pairs, term_pairs[:] = sum(term_pairs), []
+    ctx = _CheckContext(spec)
+    conn, phi = ctx.connection(), ctx.form("phi")
+    n10, n01, _, _ = connection_split(conn)
+    ff_0210 = bidegree_split(fn_bracket(phi, phi), 0, 2, "1,0")
+    rhs10 = n10 - lie_derivative(phi, conn, "1,0") - interior_op(ff_0210.scale(Fraction(1, 2)))
+    rhs01 = n01 - lie_derivative(phi, conn, "0,1")
+    coordinate = [
+        (label, operator_residuals(conjugate_operator(D, phi), R, sample))
+        for label, D, R in (("(1,0)-part", n10, rhs10), ("(0,1)-part", n01, rhs01))
+    ]
+    coordinate_pairs = sum(term_pairs)
+    assert framed == coordinate == [("(1,0)-part", []), ("(0,1)-part", [])]
     assert frame_pairs < coordinate_pairs
 
 
