@@ -35,9 +35,7 @@ class Chart:
     Forms written in the frame live on the sibling chart framed, whose J is
     A^{-1} J A and whose base is this chart, so that mixing them with
     coordinate forms raises ("forms live on different charts").  A chart
-    without a frame is its own framed and base.  Where J is diagonal, as on a
-    builtin chart's framed, holomorphic is the set of axes a with
-    J e_a = i e_a, and bidegree projection selects index keys; else it is None.
+    without a frame is its own framed and base.
     """
 
     def __init__(
@@ -62,9 +60,6 @@ class Chart:
         ident = _poly_identity(self.dim)
         if J * J != -ident:
             raise ValueError("J*J != -I: not an almost complex structure")
-        diagonal = not any(J[a][b] for a in range(self.dim) for b in range(self.dim) if a != b)
-        i = PolyScalar.constant(GaussRational(0, 1), self.dim)
-        self.holomorphic = frozenset(a for a in range(self.dim) if J[a][a] == i) if diagonal else None
         if frame is not None and frame[0] * frame[1] != ident:
             raise ValueError("A*A^{-1} != I: not a frame")
 

@@ -307,11 +307,6 @@ class VectorForm:
     def value_projected(self, side: str) -> "VectorForm":
         """Project the tangent value onto T^{1,0} (side "1,0") or T^{0,1} ("0,1")."""
         mat = self.chart.projector(side)
-        holomorphic = self.chart.holomorphic
-        if holomorphic is not None:
-            zero = ScalarForm.zero(self.chart)
-            comps = [c if (a in holomorphic) == (side == "1,0") else zero for a, c in enumerate(self.comps)]
-            return VectorForm(self.chart, self.degree, comps)
         return VectorForm(self.chart, self.degree, _matrix_times(self.chart, mat, self.comps))
 
     def __eq__(self, other):
@@ -515,13 +510,14 @@ def fn_bracket(K: VectorForm, L: VectorForm) -> VectorForm:
     [L_K, L_L] is again a Lie-type derivation, hence equals L_M for a unique
     vector form M; applying it to the coordinate functions reads off the
     components of M directly (L_M x^a = M^a).  For vector fields this is the
-    classical Lie bracket.
+    classical Lie bracket.  Forms written in the frame are bracketed in
+    coordinates, where the components are read off, and the result moves in.
     """
     if K.chart is not L.chart:
         raise ValueError("forms live on different charts")
     chart = K.chart
     if chart.base is not chart:
-        raise ValueError("fn_bracket reads off coordinate components; move the forms out of the frame first")
+        return to_frame(fn_bracket(from_frame(K), from_frame(L)))
     sign = 1 if (K.degree * L.degree) % 2 == 0 else -1
     comps = []
     for axis in range(chart.dim):
@@ -692,10 +688,6 @@ def bidegree_split_scalar(alpha: ScalarForm, p: int, q: int) -> ScalarForm:
     if alpha.degree() != p + q:
         raise ValueError(f"(p, q) = ({p}, {q}) does not match form degree {alpha.degree()}")
     chart = alpha.chart
-    if chart.holomorphic is not None:
-        return ScalarForm(
-            chart, {key: f for key, f in alpha.terms.items() if len(chart.holomorphic.intersection(key)) == p}
-        )
     image = ImageTable(lambda key: _bidegree_image(chart, key, p))
     return _substitute(alpha, chart._coframe_cache.setdefault(("bidegree", p), image))
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import operator
 import random
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -275,37 +274,28 @@ def _exp_tables(phi: VectorForm, order: int) -> Tuple[ImageTable, ImageTable]:
     """The images sum_{j<=order} s^j/j! (i_phi)^j dx^I of all basis forms, for s = 1 and s = -1.
 
     Both come from one set of powers, each key stopping at its own first
-    zero power; an image key met at two orders keeps two items.  Only the
-    coefficients that share their image key and set of monomials with
-    another one can be proportional to it, so only those are factored
-    (ImageTable.item).  The table of s = -1 negates the odd orders' items of
-    the other, sharing the rest.  NotNilpotentError is raised if a power
-    order+1 is nonzero: i_phi is C^infinity-linear, so vanishing on the
-    2^dim basis forms is vanishing on all forms.
+    zero power; an image key met at two orders keeps two items.  The table
+    of s = -1 negates the odd orders' items of the other, sharing the rest.
+    NotNilpotentError is raised if a power order+1 is nonzero: i_phi is
+    C^infinity-linear, so vanishing on the 2^dim basis forms is vanishing on
+    all forms.
     """
     chart = phi.chart
-    terms, parities = {}, {}
+    plus, parities = ImageTable(), {}
     for degree in range(chart.dim + 1):
         for key in combinations(range(chart.dim), degree):
-            images, odd = [], []
+            items, odd = [], []
             power = ScalarForm(chart, {key: PolyScalar.one(chart.dim)})
             for j in range(order + 1):
                 weight = Fraction(1, factorial(j))
-                images += [(k, c.scale(weight) if j > 1 else c) for k, c in power.terms.items()]
+                items += [plus.item(k, c.scale(weight) if j > 1 else c) for k, c in power.terms.items()]
                 odd += [j % 2] * len(power.terms)
                 power = interior(phi, power)
                 if not power:
                     break
             if power:
                 raise NotNilpotentError(f"(i_phi)^{order + 1} does not vanish on the basis form of {key}")
-            terms[key], parities[key] = images, odd
-    shapes = Counter((k, frozenset(c.terms)) for images in terms.values() for k, c in images)
-    plus = ImageTable()
-    for key, images in terms.items():
-        plus[key] = tuple(
-            plus.item(k, c) if len(c.terms) == 1 or shapes[k, frozenset(c.terms)] > 1 else (k, c, 1, None)
-            for k, c in images
-        )
+            plus[key], parities[key] = tuple(items), odd
     plus.keep_shared(True)
     minus = ImageTable()
     minus.span = plus.span
@@ -343,9 +333,20 @@ def exp_interior(phi: VectorForm) -> Tuple[DerivationOp, DerivationOp]:
 
 
 def conjugate_operator(op: DerivationOp, phi: VectorForm) -> DerivationOp:
-    """e^{-i_phi} ∘ D ∘ e^{i_phi}, by the direct truncated series."""
-    exp_plus, exp_minus = exp_interior(phi)
-    return exp_minus.compose(op.compose(exp_plus))
+    """e^{-i_phi} ∘ D ∘ e^{i_phi}, by the direct truncated series, for a D acting in phi's basis.
+
+    The exponentials run in the frame of phi's chart (forms.to_frame).  Where
+    phi is written in coordinates, each input moves in for e^{i_phi} and out
+    for D, and D's image moves in for e^{-i_phi} and out again.
+    """
+    exp_plus, exp_minus = exp_interior(to_frame(phi))
+    out = from_frame if phi.chart is phi.chart.base else (lambda form: form)
+
+    def act(u: BundleForm) -> BundleForm:
+        inner = out(exp_plus.action(to_frame(u)))
+        return out(exp_minus.action(to_frame(op.action(inner))))
+
+    return DerivationOp(op.degree, act, f"{exp_minus.tag}∘{op.tag}∘{exp_plus.tag}")
 
 
 # -- generator family and extensional residuals ---------------------------------

@@ -135,6 +135,13 @@ class _CheckContext:
         """A seeded random (0,1)-form valued in T^{1,0}; role is "phi" or "psi"."""
         return random_form(self.chart, (0, 1), "1,0", self.spec.degree, self.seed(role))
 
+    def frame_inputs(self, *roles: str):
+        """The connection, then the form of each role ("phi", or "psibar" = conj(psi)), drawn
+        in coordinates as connection() and form() draw them, written in the chart's frame."""
+        conn = self.connection().to_frame()
+        forms = [conjugate_form(self.form("psi")) if role == "psibar" else self.form(role) for role in roles]
+        return (conn, *map(to_frame, forms))
+
     def family(self, rank: int | None = None):
         rank = rank or self.spec.rank
         rng = random.Random(self.seed("batch"))
@@ -159,29 +166,23 @@ def _worst(bad: Sequence[Tuple[str, BundleForm]]) -> Tuple[str, str]:
 
 def _nr_sum(base: VectorForm, arg: VectorForm, count: int, shift: int) -> VectorForm:
     """sum_{j=0}^{count} [base, arg]^{wedge(j)} / (j + shift)!, the finite-commutability
-    expansion behind every Theorem 3.8 formula, in the basis base and arg are written in.
-
-    The bracket is algebraic, so the Theorem 3.8 checks run it in the chart's
-    frame, where typed operands have fewer coefficients.
-    """
+    expansion behind every Theorem 3.8 formula."""
     return series(base, lambda bracket: nr_bracket(bracket, arg), count, shift)
 
 
 def _closed_form_1(phi: VectorForm, quad: Fraction = Fraction(1, 2)) -> VectorForm:
-    """M with e^{-i_phi} nabla e^{i_phi} = nabla - L_phi - i_M (T3.8.1), written in the frame.
+    """M with e^{-i_phi} nabla e^{i_phi} = nabla - L_phi - i_M (T3.8.1).
 
     M = [phi,phi]/2! + [[phi,phi],phi]^/3!, the series _nr_sum(ff, phi, 1, 2).
-    phi is given in coordinates, where fn_bracket reads off [phi,phi]; the
-    series runs in the frame.  The negative control passes quad = 1 and gets
-    (quad - 1/2) [phi,phi] on top.
+    The negative control passes quad = 1 and gets (quad - 1/2) [phi,phi] on top.
     """
-    ff = to_frame(fn_bracket(phi, phi))
-    M = _nr_sum(ff, to_frame(phi), 1, 2)
+    ff = fn_bracket(phi, phi)
+    M = _nr_sum(ff, phi, 1, 2)
     return M + ff.scale(quad - Fraction(1, 2)) if quad != Fraction(1, 2) else M
 
 
 def _closed_form_5(phi: VectorForm, psibar: VectorForm) -> Tuple[VectorForm, VectorForm]:
-    """(K, M) with e^{-i_psibar} L_phi e^{i_psibar} = L_K + i_M (T3.8.5), written in the frame.
+    """(K, M) with e^{-i_psibar} L_phi e^{i_psibar} = L_K + i_M (T3.8.5).
 
     K = phi - i_psibar phi, and M = sum_{j<=3} [A, psibar]^{wedge(j)}/(j+1)!
     - sum_{j<=2} [B, psibar]^{wedge(j)}/(j+2)! with A = [phi, psibar] and
@@ -189,14 +190,11 @@ def _closed_form_5(phi: VectorForm, psibar: VectorForm) -> Tuple[VectorForm, Vec
     vanishes on integrable charts but NOT in general (the bracket [phi,psibar]
     picks up torsion-sourced components outside the four bidegree slots the
     truncation-at-2 argument assumes), and Lemma 3.6 forces its 1/4! coefficient.
-    phi and psibar are given in coordinates, where fn_bracket reads off A and
-    B; both sums run in the frame and never leave it.
     """
     i_psibar_phi = contract(psibar, phi)
-    A = to_frame(fn_bracket(phi, psibar))
-    B = to_frame(fn_bracket(i_psibar_phi, psibar))
-    psibar = to_frame(psibar)
-    return to_frame(phi - i_psibar_phi), _nr_sum(A, psibar, 3, 1) - _nr_sum(B, psibar, 2, 2)
+    A = fn_bracket(phi, psibar)
+    B = fn_bracket(i_psibar_phi, psibar)
+    return phi - i_psibar_phi, _nr_sum(A, psibar, 3, 1) - _nr_sum(B, psibar, 2, 2)
 
 
 # -- individual identity checks ---------------------------------------------------
@@ -204,8 +202,9 @@ def _closed_form_5(phi: VectorForm, psibar: VectorForm) -> Tuple[VectorForm, Vec
 # Each builder returns a list of (sub-identity label, residual list) pairs,
 # where a residual list is what operator_residuals or conjugation_residuals produced
 # (empty = pass), or raises CheckSkipped to mark a principled skip.  The
-# Theorem 3.8 builders draw their inputs in coordinates and move them into the
-# chart's frame once, where conjugation_residuals runs.
+# Theorem 3.8 builders work in the chart's frame throughout, where the bracket
+# series are smaller and conjugation_residuals runs: their inputs come from
+# _CheckContext.frame_inputs, and the closed forms work in the basis they are given.
 
 
 class CheckSkipped(Exception):
@@ -214,22 +213,19 @@ class CheckSkipped(Exception):
 
 
 def _check_T381(ctx: _CheckContext, corrupt: bool = False):
-    conn = ctx.connection().to_frame()
-    phi = ctx.form("phi")
+    conn, phi = ctx.frame_inputs("phi")
     fam = ctx.family()
     nab = nabla(conn)
     M = _closed_form_1(phi, Fraction(1) if corrupt else Fraction(1, 2))
-    rhs = nab - lie_derivative(to_frame(phi), conn) - interior_op(M)
+    rhs = nab - lie_derivative(phi, conn) - interior_op(M)
     return conjugation_residuals(phi, [("conjugated-connection", nab, rhs)], fam)
 
 
 def _check_T382(ctx: _CheckContext):
-    conn = ctx.connection().to_frame()
-    phi = ctx.form("phi")
+    conn, phi = ctx.frame_inputs("phi")
     fam = ctx.family()
     n10, n01, _, _ = connection_split(conn)
-    ff_0210 = bidegree_split(to_frame(fn_bracket(phi, phi)), 0, 2, "1,0")
-    phi = to_frame(phi)
+    ff_0210 = bidegree_split(fn_bracket(phi, phi), 0, 2, "1,0")
     rhs10 = n10 - lie_derivative(phi, conn, "1,0") - interior_op(ff_0210.scale(Fraction(1, 2)))
     rhs01 = n01 - lie_derivative(phi, conn, "0,1")
     return conjugation_residuals(
@@ -238,10 +234,9 @@ def _check_T382(ctx: _CheckContext):
 
 
 def _check_T383(ctx: _CheckContext):
-    ctx.connection()  # keep seed provenance aligned across the T3.8 suite
-    phi = to_frame(ctx.form("phi"))
+    conn, phi = ctx.frame_inputs("phi")
     fam = ctx.family()
-    theta = ctx.chart.framed.torsion()
+    theta = conn.chart.torsion()
     theta_bar = conjugate_form(theta)
     i_theta = interior_op(theta)
     i_theta_bar = interior_op(theta_bar)
@@ -252,12 +247,9 @@ def _check_T383(ctx: _CheckContext):
 
 
 def _check_T384(ctx: _CheckContext):
-    ctx.connection()  # keep seed provenance aligned across the T3.8 suite
-    phi = ctx.form("phi")
-    psibar = to_frame(conjugate_form(ctx.form("psi")))
+    _, phi, psibar = ctx.frame_inputs("phi", "psibar")
     fam = ctx.family()
-    ff = to_frame(fn_bracket(phi, phi))
-    phi = to_frame(phi)
+    ff = fn_bracket(phi, phi)
     # The transported form carries 1/j! on the j-th iterated bracket, exactly
     # as in the second identity of this group; [phi,psibar]^{wedge(3)} = 0.
     rhs1 = interior_op(_nr_sum(phi, psibar, 2, 0))
@@ -270,30 +262,27 @@ def _check_T384(ctx: _CheckContext):
 
 
 def _check_T385(ctx: _CheckContext):
-    conn = ctx.connection().to_frame()
-    phi = ctx.form("phi")
-    psibar = conjugate_form(ctx.form("psi"))
+    conn, phi, psibar = ctx.frame_inputs("phi", "psibar")
     fam = ctx.family()
     K, M = _closed_form_5(phi, psibar)
     rhs = lie_derivative(K, conn) + interior_op(M)
-    lhs = lie_derivative(to_frame(phi), conn)
-    return conjugation_residuals(psibar, [("conjugated-lie", lhs, rhs)], fam)
+    return conjugation_residuals(psibar, [("conjugated-lie", lie_derivative(phi, conn), rhs)], fam)
 
 
 def _check_T386(ctx: _CheckContext):
-    conn = ctx.connection().to_frame()
-    phi = ctx.form("phi")
-    psibar = conjugate_form(ctx.form("psi"))
+    conn, phi, psibar = ctx.frame_inputs("phi", "psibar")
     fam = ctx.family()
     nab = nabla(conn)
     M1 = _closed_form_1(phi)
-    K5, M5 = _closed_form_5(phi, psibar)
-    M = _closed_form_1(psibar) + M5
-    phi, psibar = to_frame(phi), to_frame(psibar)
     closed1 = nab - lie_derivative(phi, conn) - interior_op(M1)
     # Conjugating closed1 by psibar term by term: (1) for nabla, (5) for L_phi
     # and the interior transport of (4) for i_M1, fused by linearity of L and i.
-    rhs = nab - lie_derivative(psibar + K5, conn) - interior_op(M + _nr_sum(M1, psibar, 3, 0))
+    K5, M5 = _closed_form_5(phi, psibar)
+    rhs = (
+        nab
+        - lie_derivative(psibar + K5, conn)
+        - interior_op(_closed_form_1(psibar) + M5 + _nr_sum(M1, psibar, 3, 0))
+    )
     # Both routes share e^{±i_psibar} per member: where T3.8.1 holds, their
     # inner images are equal and e^{-i_psibar} runs once.
     return conjugation_residuals(

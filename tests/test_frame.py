@@ -171,8 +171,8 @@ def test_mixing_frame_and_coordinate_forms_raises(framed):
         lambda: conn.to_frame().apply(u),
         lambda: exp_interior(to_frame(phi))[0](u),
         lambda: exp_interior(phi)[1](to_frame(u)),
-        # fn_bracket reads coordinate components, and a complex frame does not commute with conjugation
-        lambda: fn_bracket(to_frame(K), to_frame(K)),
+        lambda: fn_bracket(K, to_frame(K)),
+        # a complex frame does not commute with coefficientwise conjugation
         lambda: to_frame(K).conjugate(),
     ]
     for combine in mixed:
@@ -180,6 +180,8 @@ def test_mixing_frame_and_coordinate_forms_raises(framed):
             combine()
     assert to_frame(alpha) != alpha and to_frame(K) != K
     assert conjugate_form(to_frame(K)) == to_frame(conjugate_form(K))
+    # fn_bracket reads off coordinate components, so it brackets frame-written forms there
+    assert fn_bracket(to_frame(K), to_frame(K)) == to_frame(fn_bracket(K, K))
 
 
 @pytest.mark.parametrize("chart_name", sorted(EXP_CHARTS))

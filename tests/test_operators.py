@@ -3,7 +3,6 @@
 import dataclasses
 import random
 from fractions import Fraction
-from itertools import combinations
 from math import factorial
 
 import pytest
@@ -35,9 +34,7 @@ from acderiv import (
 )
 from acderiv.forms import (
     BundleForm,
-    ImageTable,
     ScalarForm,
-    from_frame,
     random_bundle_form,
     random_scalar_form,
     random_vector_form,
@@ -414,45 +411,6 @@ def test_conjugate_d_integrable_closed_form(std2):
     assert ops_equal(lhs, rhs, std2, 1)
 
 
-def tables_factoring_every_coefficient(phi, order):
-    """_exp_tables as it was when every multi-term coefficient was factored and interned."""
-    chart = phi.chart
-    plus, parities = ImageTable(), {}
-    for degree in range(chart.dim + 1):
-        for key in combinations(range(chart.dim), degree):
-            items, odd = [], []
-            power = ScalarForm(chart, {key: PolyScalar.one(chart.dim)})
-            for j in range(order + 1):
-                weight = Fraction(1, factorial(j))
-                items += [plus.item(k, c.scale(weight) if j > 1 else c) for k, c in power.terms.items()]
-                odd += [j % 2] * len(power.terms)
-                power = interior(phi, power)
-            plus[key], parities[key] = tuple(items), odd
-    plus.keep_shared(True)
-    minus = {
-        key: tuple(ImageTable.negated(item) if o else item for item, o in zip(items, parities[key]))
-        for key, items in plus.items()
-    }
-    return plus, minus
-
-
-def test_exp_tables_factor_only_coefficients_that_can_meet(monkeypatch):
-    # T3.8.6's phi and psibar at seed 7 on standard:2, in the frame: the same tables, fewer scalings
-    _, phi, psibar, _ = t38_inputs("T3.8.6", "standard:2")
-    scalings = []
-    scale = PolyScalar.scale
-    monkeypatch.setattr(PolyScalar, "scale", lambda self, value: scalings.append(1) or scale(self, value))
-    for form in (phi, psibar):
-        form = to_frame(form)
-        expected = tables_factoring_every_coefficient(form, form.chart.n)
-        factored_every, scalings[:] = len(scalings), []
-        plus, minus = operators._exp_tables(form, form.chart.n)
-        assert (dict(plus), dict(minus)) == (dict(expected[0]), expected[1])
-        assert plus.span == minus.span == expected[0].span
-        assert len(scalings) < factored_every
-        scalings.clear()
-
-
 def count_exponentials(monkeypatch, form):
     """Record each input that e^{+i_form} and e^{-i_form} from exp_interior are applied to,
     form written in its chart's frame as conjugation_residuals applies them."""
@@ -485,15 +443,9 @@ def t38_inputs(check, chart, rank=2, degree=2):
     return conn, phi, psibar, ctx.family()
 
 
-def written_on(chart, form):
-    """form written in chart's basis: the frame on a chart's framed sibling, else coordinates."""
-    return from_frame(form) if chart.base is chart else to_frame(form)
-
-
 def t381_rhs(conn, phi, quad=Fraction(1, 2)):
-    """T3.8.1's right-hand side for a coordinate phi, acting in conn's basis."""
-    M = written_on(conn.chart, _closed_form_1(phi, quad))
-    return nabla(conn) - lie_derivative(written_on(conn.chart, phi), conn) - interior_op(M)
+    """T3.8.1's right-hand side, for conn and phi written in one basis."""
+    return nabla(conn) - lie_derivative(phi, conn) - interior_op(_closed_form_1(phi, quad))
 
 
 def test_joint_conjugation_equals_separate_conjugations(monkeypatch):
@@ -501,19 +453,20 @@ def test_joint_conjugation_equals_separate_conjugations(monkeypatch):
     conn, phi, psibar, _ = t38_inputs("T3.8.6", "standard:2", rank=1, degree=1)
     fam = generator_family(phi.chart, 1)
 
-    def groups(conn):
+    def groups(conn, phi):
         rhs = nabla(conn)
         return [
-            ("conjugated", conjugate_operator(nabla(conn), written_on(conn.chart, phi)), rhs),
+            ("conjugated", conjugate_operator(nabla(conn), phi), rhs),
             ("closed", t381_rhs(conn, phi), rhs),
             ("corrupted", t381_rhs(conn, phi, Fraction(1)), rhs),
         ]
 
     # conjugation_residuals runs in the frame; the separate conjugations in coordinates
     separate = [
-        (label, operator_residuals(conjugate_operator(D, psibar), R, fam)) for label, D, R in groups(conn)
+        (label, operator_residuals(conjugate_operator(D, psibar), R, fam))
+        for label, D, R in groups(conn, phi)
     ]
-    framed_groups = groups(conn.to_frame())
+    framed_groups = groups(conn.to_frame(), to_frame(phi))
     applied = count_exponentials(monkeypatch, psibar)
     assert conjugation_residuals(psibar, framed_groups, fam) == separate
     assert applied["plus"] == [to_frame(u) for _, u in fam]
@@ -529,7 +482,7 @@ def test_joint_conjugation_equals_separate_conjugations(monkeypatch):
 def test_conjugation_residuals_match_per_group_residuals():
     conn, phi, _, fam = t38_inputs("T3.8.6", "twisted:2", rank=1, degree=1)
 
-    def groups(conn, rhs_op=lambda op: op):
+    def groups(conn, phi, rhs_op=lambda op: op):
         exact = rhs_op(t381_rhs(conn, phi))
         return [
             ("corrupted-T3.8.1", nabla(conn), t381_rhs(conn, phi, Fraction(1))),
@@ -542,13 +495,13 @@ def test_conjugation_residuals_match_per_group_residuals():
     def shared(op):
         return dataclasses.replace(op, action=lambda u: applied.append(u) or op.action(u))
 
-    got = conjugation_residuals(phi, groups(conn.to_frame(), shared), fam)
+    got = conjugation_residuals(phi, groups(conn.to_frame(), to_frame(phi), shared), fam)
     assert len(applied) == len(fam), "a shared operator runs once per member"
     assert got[0][1], "the corrupted group must fail"
     assert not got[1][1], "T3.8.1 must hold"
     # residuals leave the frame: they equal the conjugation run in coordinates
     assert got == [
-        (label, operator_residuals(conjugate_operator(D, phi), R, fam)) for label, D, R in groups(conn)
+        (label, operator_residuals(conjugate_operator(D, phi), R, fam)) for label, D, R in groups(conn, phi)
     ]
 
 

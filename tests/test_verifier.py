@@ -176,9 +176,10 @@ def test_closed_form_1_is_the_bracket_series(twisted2):
     ff = fn_bracket(phi, phi)
     sixth = nr_bracket(ff, phi).scale(Fraction(1, 6))
     assert not sixth.is_zero()
-    # phi is given in coordinates and M is written in the frame
-    assert from_frame(_closed_form_1(phi)) == ff.scale(Fraction(1, 2)) + sixth
-    assert from_frame(_closed_form_1(phi, Fraction(1))) == ff + sixth
+    # M is written in the basis phi is written in
+    for quad, M in ((Fraction(1, 2), ff.scale(Fraction(1, 2)) + sixth), (Fraction(1), ff + sixth)):
+        assert _closed_form_1(phi, quad) == M
+        assert _closed_form_1(to_frame(phi), quad) == to_frame(M)
 
 
 def test_nr_sum_on_twisted3_makes_fewer_term_pairs_than_in_coordinates(term_pairs):
@@ -205,7 +206,7 @@ def test_negative_control_on_twisted2_reports_the_coordinate_residuals():
     ctx = _CheckContext(spec)
     conn, phi, fam = ctx.connection(), ctx.form("phi"), ctx.family()
     nab = nabla(conn)
-    rhs = nab - lie_derivative(phi, conn) - interior_op(from_frame(_closed_form_1(phi, Fraction(1))))
+    rhs = nab - lie_derivative(phi, conn) - interior_op(_closed_form_1(phi, Fraction(1)))
     coordinate = operator_residuals(conjugate_operator(nab, phi), rhs, fam)
     assert len(framed) == len(coordinate) == 42
     assert framed == coordinate
