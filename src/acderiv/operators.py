@@ -28,6 +28,7 @@ from .forms import (
     ImageTable,
     ScalarForm,
     VectorForm,
+    _matrix_times,
     _substitute,
     bidegree_split,
     conjugate_form,
@@ -391,12 +392,17 @@ def operator_residuals(
     rhs: DerivationOp,
     family: Sequence[Tuple[str, BundleForm]],
 ) -> List[Tuple[str, BundleForm]]:
-    """Nonzero (lhs - rhs) applications over the family; empty means equal."""
+    """Nonzero (lhs - rhs) applications over the family; empty means equal.
+
+    The family may be written in a chart's frame (forms.to_frame), where lhs
+    and rhs must then act: only a nonzero residual moves back out, so
+    residuals are reported in coordinates in either basis.
+    """
     out = []
     for member, u in family:
         res = lhs.action(u) - rhs.action(u)
         if not res.is_zero():
-            out.append((member, res))
+            out.append((member, from_frame(res)))
     return out
 
 
@@ -466,7 +472,12 @@ def _mul_bundle_poly(u: BundleForm, poly: PolyScalar) -> BundleForm:
 def _extract_vector_from_function_action(
     op: DerivationOp, conn: Connection, degree: int
 ) -> VectorForm:
-    """Read off K with K^a = Dbar(x^a) via D(x^a s_1) - x^a D(s_1)."""
+    """Read off K with K^a = Dbar(x^a) via D(x^a s_1) - x^a D(s_1).
+
+    That difference is i_K dx^a, indexed by coordinate axis; where conn is
+    written in the frame (dx^a = sum_b A[a][b] theta^b), the frame components
+    of K are A^{-1} times it.
+    """
     chart = conn.chart
     s1 = BundleForm.section(chart, conn.rank, 0)
     d_s1 = op.action(s1)
@@ -476,6 +487,8 @@ def _extract_vector_from_function_action(
         xa_s1 = BundleForm.from_scalar(ScalarForm.function(chart, xa), conn.rank, 0)
         diff = op.action(xa_s1) - _mul_bundle_poly(d_s1, xa)
         comps.append(diff.comps[0])
+    if chart.base is not chart:
+        comps = _matrix_times(chart, chart.base.frame[1], comps)
     try:
         return VectorForm(chart, degree, comps)
     except ValueError as exc:
@@ -487,7 +500,11 @@ def _extract_vector_from_function_action(
 def _extract_vector_from_covector_action(
     op: DerivationOp, conn: Connection, degree: int
 ) -> VectorForm:
-    """Read off L with L^a = D(dx^a s_1) for an algebraic (function-killing) D."""
+    """Read off L with L^a = D(dx^a s_1) for an algebraic (function-killing) D.
+
+    Where conn is written in the frame, dx^a is the chart's theta^a, so the
+    components read are L's in the frame.
+    """
     chart = conn.chart
     comps = []
     for a in range(chart.dim):
@@ -502,8 +519,15 @@ def _extract_vector_from_covector_action(
 
 
 def _require_reassembly(op: DerivationOp, rebuilt: DerivationOp, conn: Connection, what: str):
-    """Raise DecompositionError naming op and the first generator where rebuilt misses it."""
-    bad = operator_residuals(op, rebuilt, generator_family(conn.chart, conn.rank))
+    """Raise DecompositionError naming op and the first generator where rebuilt misses it.
+
+    The test set is the coordinate generator family, moved into the frame
+    where conn is written in it.
+    """
+    family = generator_family(conn.chart.base, conn.rank)
+    if conn.chart is not conn.chart.base:
+        family = [(label, to_frame(u)) for label, u in family]
+    bad = operator_residuals(op, rebuilt, family)
     if bad:
         label, res = bad[0]
         raise DecompositionError(f"{what} misses {op.tag} on {label}: {res}")

@@ -29,6 +29,7 @@ from .forms import (
     conjugate_form,
     contract,
     fn_bracket,
+    from_frame,
     interior,
     nr_bracket,
     random_bundle_form,
@@ -152,6 +153,10 @@ class _CheckContext:
             )
         return members
 
+    def frame_family(self, rank: int | None = None):
+        """family(rank), each member written in the chart's frame."""
+        return [(label, to_frame(u)) for label, u in self.family(rank)]
+
 
 def _worst(bad: Sequence[Tuple[str, BundleForm]]) -> Tuple[str, str]:
     """Pick the offender with the largest residual (by monomial count)."""
@@ -181,6 +186,12 @@ def _closed_form_1(phi: VectorForm, quad: Fraction = Fraction(1, 2)) -> VectorFo
     return M + ff.scale(quad - Fraction(1, 2)) if quad != Fraction(1, 2) else M
 
 
+def _conjugated_nabla(conn: Connection, phi: VectorForm, M: VectorForm) -> DerivationOp:
+    """nabla - L_phi - i_M: T3.8.1's right-hand side for e^{-i_phi} nabla e^{i_phi},
+    with M = _closed_form_1(phi)."""
+    return nabla(conn) - lie_derivative(phi, conn) - interior_op(M)
+
+
 def _closed_form_5(phi: VectorForm, psibar: VectorForm) -> Tuple[VectorForm, VectorForm]:
     """(K, M) with e^{-i_psibar} L_phi e^{i_psibar} = L_K + i_M (T3.8.5).
 
@@ -202,9 +213,13 @@ def _closed_form_5(phi: VectorForm, psibar: VectorForm) -> Tuple[VectorForm, Vec
 # Each builder returns a list of (sub-identity label, residual list) pairs,
 # where a residual list is what operator_residuals or conjugation_residuals produced
 # (empty = pass), or raises CheckSkipped to mark a principled skip.  The
-# Theorem 3.8 builders work in the chart's frame throughout, where the bracket
-# series are smaller and conjugation_residuals runs: their inputs come from
-# _CheckContext.frame_inputs, and the closed forms work in the basis they are given.
+# Theorem 3.8, Lemma 3.7 (L3.7.1, L3.7.2), P3.3 and EX3.1 builders work in the
+# chart's frame throughout, where the forms and bracket series are smaller and
+# conjugation_residuals runs: their inputs come from _CheckContext.frame_inputs
+# and frame_family, the closed forms work in the basis they are given, and only
+# nonzero residuals move out.  EQ2.4 and R3.10 stay in coordinates: EQ2.4's
+# generic K and L become dense complex forms in the frame, and R3.10 builds
+# dbar from the holomorphic coordinates.
 
 
 class CheckSkipped(Exception):
@@ -215,10 +230,8 @@ class CheckSkipped(Exception):
 def _check_T381(ctx: _CheckContext, corrupt: bool = False):
     conn, phi = ctx.frame_inputs("phi")
     fam = ctx.family()
-    nab = nabla(conn)
-    M = _closed_form_1(phi, Fraction(1) if corrupt else Fraction(1, 2))
-    rhs = nab - lie_derivative(phi, conn) - interior_op(M)
-    return conjugation_residuals(phi, [("conjugated-connection", nab, rhs)], fam)
+    rhs = _conjugated_nabla(conn, phi, _closed_form_1(phi, Fraction(1) if corrupt else Fraction(1, 2)))
+    return conjugation_residuals(phi, [("conjugated-connection", nabla(conn), rhs)], fam)
 
 
 def _check_T382(ctx: _CheckContext):
@@ -274,7 +287,7 @@ def _check_T386(ctx: _CheckContext):
     fam = ctx.family()
     nab = nabla(conn)
     M1 = _closed_form_1(phi)
-    closed1 = nab - lie_derivative(phi, conn) - interior_op(M1)
+    closed1 = _conjugated_nabla(conn, phi, M1)
     # Conjugating closed1 by psibar term by term: (1) for nabla, (5) for L_phi
     # and the interior transport of (4) for i_M1, fused by linearity of L and i.
     K5, M5 = _closed_form_5(phi, psibar)
@@ -293,20 +306,16 @@ def _check_T386(ctx: _CheckContext):
 
 
 def _check_L371(ctx: _CheckContext):
-    conn = ctx.connection()
-    phi = ctx.form("phi")
-    psi = ctx.form("psi")
-    fam = ctx.family()
+    conn, phi, psi = ctx.frame_inputs("phi", "psi")
+    fam = ctx.frame_family()
     lhs = graded_commutator(lie_derivative(phi, conn, "1,0"), interior_op(psi))
     rhs = interior_op(bidegree_split(fn_bracket(phi, psi), 0, 2, "1,0"))
     return [("commutator", operator_residuals(lhs, rhs, fam))]
 
 
 def _check_L372(ctx: _CheckContext):
-    conn = ctx.connection()
-    phi = ctx.form("phi")
-    psi = ctx.form("psi")
-    fam = ctx.family()
+    conn, phi, psi = ctx.frame_inputs("phi", "psi")
+    fam = ctx.frame_family()
     lhs = graded_commutator(lie_derivative(phi, conn, "0,1"), interior_op(psi))
     zero = DerivationOp(lhs.degree, lambda u: BundleForm.zero(u.chart, u.rank), "0")
     return [("commutator", operator_residuals(lhs, zero, fam))]
@@ -324,17 +333,17 @@ def _check_L373(ctx: _CheckContext):
 
 
 def _check_EX31(ctx: _CheckContext):
-    chart = ctx.chart
+    chart = ctx.chart.framed
     # scalar version: d = del + delbar - i_theta - i_thetabar on the trivial line bundle
     scalar_conn = Connection.trivial(chart, 1)
     n10, n01, ith, ithb = connection_split(scalar_conn)
     d_op = nabla(scalar_conn)
-    fam1 = ctx.family(rank=1)
+    fam1 = ctx.frame_family(rank=1)
     res_scalar = operator_residuals(d_op, n10 + n01 - ith - ithb, fam1)
     # bundle version with the seeded connection
-    conn = ctx.connection()
+    (conn,) = ctx.frame_inputs()
     m10, m01, mth, mthb = connection_split(conn)
-    fam = ctx.family()
+    fam = ctx.frame_family()
     res_bundle = operator_residuals(nabla(conn), m10 + m01 - mth - mthb, fam)
     # cross-validation: torsion extracted from the d-splitting equals the
     # frame-computed torsion form
@@ -342,7 +351,7 @@ def _check_EX31(ctx: _CheckContext):
     extracted = _extract_vector_from_covector_action(remainder, scalar_conn, 2)
     theta_extracted = bidegree_split(extracted, 2, 0, "0,1")
     cross = theta_extracted - chart.torsion()
-    res_cross = [] if cross.is_zero() else [("extracted-theta", cross)]
+    res_cross = [] if cross.is_zero() else [("extracted-theta", from_frame(cross))]
     out = [
         ("d-splitting", res_scalar),
         ("nabla-splitting", res_bundle),
@@ -454,10 +463,8 @@ def _check_P312(ctx: _CheckContext):
 
 
 def _check_P33(ctx: _CheckContext):
-    chart = ctx.chart
-    phi = ctx.form("phi")
-    scalar_conn = Connection.trivial(chart, 1)
-    conn = ctx.connection()
+    conn, phi = ctx.frame_inputs("phi")
+    scalar_conn = Connection.trivial(ctx.chart.framed, 1)
     n10, n01, _, _ = connection_split(scalar_conn)
     cases = [
         ("del", n10, scalar_conn),

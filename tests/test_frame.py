@@ -29,7 +29,18 @@ from acderiv.forms import (
     to_frame,
     vector_one_form_from_matrix,
 )
-from acderiv.operators import connection_split, generator_family, interior_op, random_connection, series
+from acderiv.operators import (
+    DecompositionError,
+    connection_split,
+    decompose_derivation,
+    generator_family,
+    identity_op,
+    interior_op,
+    lie_derivative,
+    random_connection,
+    refined_decompose,
+    series,
+)
 from acderiv.verifier import IdentityCheck, parse_chart_name
 
 
@@ -209,6 +220,26 @@ def _assert_exp_matches_series(chart, chart_name, phi):
         step = interior_op(K).action
         for u in probes:
             assert op(to_frame(u)) == to_frame(series(u, step, chart.n))
+
+
+@pytest.mark.parametrize("chart_name", ["standard:2", "twisted:2", "bare:2"])
+def test_decompositions_in_the_frame_are_the_coordinate_ones_moved_in(chart_name):
+    # K is read off i_K dx^a and moved to the frame by A^{-1}, L off the frame's theta^b, and the
+    # reassembly runs on the coordinate generator family moved in
+    chart = EXP_CHARTS[chart_name]()
+    conn = random_connection(chart, 2, 1, f"frame-dec-conn-{chart_name}")
+    K = random_vector_form(chart, 1, 1, f"frame-dec-K-{chart_name}")
+    L = random_vector_form(chart, 2, 1, f"frame-dec-L-{chart_name}")
+    op = lie_derivative(K, conn) + interior_op(L)
+    framed_conn = conn.to_frame()
+    framed_op = lie_derivative(to_frame(K), framed_conn) + interior_op(to_frame(L))
+    assert decompose_derivation(op, conn) == (K, L)
+    assert decompose_derivation(framed_op, framed_conn) == (to_frame(K), to_frame(L))
+    refined = refined_decompose(op, conn)
+    assert refined_decompose(framed_op, framed_conn) == tuple(map(to_frame, refined))
+    # the identity satisfies no Leibniz rule in either basis
+    with pytest.raises(DecompositionError):
+        decompose_derivation(identity_op(), framed_conn)
 
 
 def test_coframe_images_are_memoised(framed):

@@ -20,14 +20,17 @@ from acderiv.forms import from_frame, to_frame
 from acderiv.operators import (
     conjugate_operator,
     connection_split,
+    graded_commutator,
     interior_op,
     operator_residuals,
     series,
 )
+from acderiv import verifier
 from acderiv.verifier import (
     REGISTRY_IDS,
     IdentityCheck,
     _CheckContext,
+    _check_L371,
     _check_T381,
     _check_T382,
     _closed_form_1,
@@ -236,6 +239,50 @@ def test_T382_on_twisted3_makes_fewer_term_pairs_than_in_coordinates(term_pairs)
     ]
     coordinate_pairs = sum(term_pairs)
     assert framed == coordinate == [("(1,0)-part", []), ("(0,1)-part", [])]
+    assert frame_pairs < coordinate_pairs
+
+
+def _L371_in_coordinates(ctx, project=bidegree_split):
+    """L3.7.1's residuals with every operator and form in coordinates, as the check once ran."""
+    conn, phi, psi = ctx.connection(), ctx.form("phi"), ctx.form("psi")
+    fam = ctx.family()
+    lhs = graded_commutator(lie_derivative(phi, conn, "1,0"), interior_op(psi))
+    rhs = interior_op(project(fn_bracket(phi, psi), 0, 2, "1,0"))
+    return [("commutator", operator_residuals(lhs, rhs, fam))]
+
+
+def test_corrupted_L371_on_twisted2_reports_the_coordinate_residuals(monkeypatch):
+    # dropping the (0,2)/(1,0) projection of the right-hand side must fail; the check runs in the
+    # frame, and its residuals leave it only to be reported, so they are the coordinate ones
+    def unprojected(form, p, q, side):
+        return form
+
+    spec = IdentityCheck("L3.7.1", "twisted:2", seed=7)
+    monkeypatch.setattr(verifier, "bidegree_split", unprojected)
+    framed = _check_L371(_CheckContext(spec))
+    coordinate = _L371_in_coordinates(_CheckContext(spec), unprojected)
+    [(_, residuals)] = framed
+    assert residuals and [label for label, _ in residuals] == [label for label, _ in coordinate[0][1]]
+    assert framed == coordinate
+    assert _verdict(framed) == _verdict(coordinate)
+    assert _verdict(framed)[0] == "fail"
+
+
+def test_L371_on_twisted3_makes_fewer_term_pairs_than_in_coordinates(term_pairs):
+    # every seventh family member and the random 1-form; the frame route's count includes moving
+    # the inputs and the family in
+    spec = IdentityCheck("L3.7.1", "twisted:3", seed=7)
+    ctx = _CheckContext(spec)
+    sample = [member for k, member in enumerate(ctx.family()) if k % 7 == 0 or member[0] == "random-1-form"]
+    ctx.family = lambda rank=None: sample
+    term_pairs.clear()
+    framed = _check_L371(ctx)
+    frame_pairs, term_pairs[:] = sum(term_pairs), []
+    ctx = _CheckContext(spec)
+    ctx.family = lambda rank=None: sample
+    coordinate = _L371_in_coordinates(ctx)
+    coordinate_pairs = sum(term_pairs)
+    assert framed == coordinate == [("commutator", [])]
     assert frame_pairs < coordinate_pairs
 
 
