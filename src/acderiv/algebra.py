@@ -180,21 +180,6 @@ def _guard_bits(num_vars: int) -> int:
     return sum(_EXP_LIMIT << (_EXP_BITS * i) for i in range(num_vars))
 
 
-def code_span(polys: Iterable["PolyScalar"]) -> int:
-    """OR of every exponent code of polys: each field is at least that variable's top exponent."""
-    return reduce(or_, (code for poly in polys for code in poly.terms), 0)
-
-
-def products_may_overflow(span_a: int, span_b: int, num_vars: int) -> bool:
-    """False only if no product of polynomials with code spans span_a and span_b overflows.
-
-    Stored fields stay below the guard bit, so adding two spans carries
-    between no fields, and each field of the sum bounds that exponent in
-    every such product.
-    """
-    return bool((span_a + span_b) & _guard_bits(num_vars))
-
-
 class PolyScalar:
     """Multivariate polynomial over Gaussian rationals, sparse term map.
 

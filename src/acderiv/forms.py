@@ -12,19 +12,11 @@ from __future__ import annotations
 
 import operator
 import random
-from collections import Counter
 from fractions import Fraction
 from itertools import chain, combinations, starmap
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from .algebra import (
-    GR_ONE,
-    GaussRational,
-    PolyScalar,
-    ProductSum,
-    code_span,
-    products_may_overflow,
-)
+from .algebra import GR_ONE, GaussRational, PolyScalar, ProductSum
 
 if TYPE_CHECKING:
     from .chart import Chart
@@ -235,10 +227,10 @@ class ScalarForm:
 class VectorForm:
     """Tangent-valued form K = sum_a kappa^a (x) d/dx_a, all components one degree.
 
-    Treated as immutable: interior keeps its coefficients as an ImageTable.
+    Treated as immutable: interior keeps its coefficients as image items.
     """
 
-    __slots__ = ("chart", "degree", "comps", "_table")
+    __slots__ = ("chart", "degree", "comps", "_items")
 
     def __init__(self, chart: "Chart", degree: int, comps: Sequence[ScalarForm]):
         if len(comps) != chart.dim:
@@ -249,7 +241,7 @@ class VectorForm:
         self.chart = chart
         self.degree = degree
         self.comps = tuple(comps)
-        self._table = None
+        self._items = None
 
     @staticmethod
     def zero(chart: "Chart", degree: int) -> "VectorForm":
@@ -265,18 +257,11 @@ class VectorForm:
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.comps)
 
-    def coefficients(self) -> "ImageTable":
-        """axis a -> the ImageTable items of kappa^a's terms, built whole on first use and kept.
-
-        Only the p of proportional coefficients are kept (ImageTable.keep_shared):
-        in interior, coefficients at two index keys can meet.
-        """
-        if self._table is None:
-            table = ImageTable()
-            for axis, comp in enumerate(self.comps):
-                table[axis] = tuple(starmap(table.item, comp.terms.items()))
-            self._table = table.keep_shared(False)
-        return self._table
+    def coefficients(self) -> tuple:
+        """axis a -> the image items (_item) of kappa^a's terms, built on first use and kept."""
+        if self._items is None:
+            self._items = tuple(tuple(starmap(_item, comp.terms.items())) for comp in self.comps)
+        return self._items
 
     def _check_compatible(self, other: "VectorForm"):
         if self.chart is not other.chart:
@@ -416,7 +401,7 @@ def wedge(alpha: ScalarForm, beta: ScalarForm) -> ScalarForm:
 
 
 def _interior_terms(K: VectorForm, target: ScalarForm):
-    """Contributions (index key, sign, f, item) of i_K target for _products.
+    """The _accumulate items of i_K target.
 
     Each (target term f dx^key, slot pos of key holding axis a, item of a
     term c dx^k of kappa^a) contributes sign * c * f: (-1)^pos from
@@ -427,10 +412,12 @@ def _interior_terms(K: VectorForm, target: ScalarForm):
     for key, f in target.terms.items():
         for pos, axis in enumerate(key):
             reduced = key[:pos] + key[pos + 1 :]
-            for item in rows[axis]:
-                merged, sign = _merge_sign(item[0], reduced)
+            for image_key, kappa, c in rows[axis]:
+                merged, sign = _merge_sign(image_key, reduced)
                 if merged is not None:
-                    yield merged, -sign if pos % 2 else sign, f, item
+                    if pos % 2:
+                        sign = -sign
+                    yield merged, kappa if sign > 0 else -kappa, f, c
 
 
 def interior(K: VectorForm, target):
@@ -443,8 +430,7 @@ def interior(K: VectorForm, target):
         return BundleForm(target.chart, [interior(K, c) for c in target.comps])
     if K.chart is not target.chart:
         raise ValueError("forms live on different charts")
-    items = _products(_interior_terms(K, target), K.coefficients(), target)
-    return ScalarForm(target.chart, _accumulate({}, items))
+    return ScalarForm(target.chart, _accumulate({}, _interior_terms(K, target)))
 
 
 def contract(K: VectorForm, L: VectorForm) -> VectorForm:
@@ -549,114 +535,49 @@ def _wedge_rows(chart: "Chart", key: tuple, mats) -> ScalarForm:
 _UNIT_SIGNS = {GR_ONE: 1, -GR_ONE: -1}
 
 
-class ImageTable(dict):
-    """key -> items (image key, c, kappa, p), one per term of the image of dx^key.
+def _item(image_key: tuple, c: PolyScalar) -> tuple:
+    """The image item (image key, kappa, c) of the term c dx^image key.
 
-    With p None an item is the term kappa * c dx^image key, c None standing
-    for 1: a constant coefficient is kappa alone, 1 or -1 for 1 or -1 and a
-    GaussRational otherwise, and any other one is c with kappa 1 or -1.
-    With p given the coefficient is c = kappa * p, kappa the coefficient of
-    c's lowest code and p interned (equal p are one object, and c is p when
-    kappa is 1), so that _products can sum the inputs that meet one p; span
-    is code_span of every p.  A missing key is built from build(key), a form.
+    A constant coefficient is kappa alone, c None: kappa is 1 or -1 for 1 or
+    -1 and a GaussRational otherwise, so it scales.  Any other one is c, with
+    kappa 1, and is multiplied.
+    """
+    if len(c.terms) == 1 and (pair := c.terms.get(0)) is not None:
+        kappa = GaussRational._raw(*pair, c.den)
+        return image_key, _UNIT_SIGNS.get(kappa, kappa), None
+    return image_key, 1, c
+
+
+class ImageTable(dict):
+    """key -> the image items (_item) of the terms of the image of dx^key.
+
+    A missing key is built from build(key), a form.
     """
 
     def __init__(self, build=None):
         super().__init__()
-        self.build, self.pool, self.span = build, {}, 0
-
-    def item(self, image_key: tuple, c: PolyScalar) -> tuple:
-        if len(c.terms) == 1:
-            pair = c.terms.get(0)
-            if pair is None:
-                return image_key, c, 1, None
-            kappa = GaussRational._raw(*pair, c.den)
-            return image_key, None, _UNIT_SIGNS.get(kappa, kappa), None
-        kappa = GaussRational._raw(*c.terms[min(c.terms)], c.den)
-        p = c if kappa == GR_ONE else c.scale(GR_ONE / kappa)
-        interned = self.pool.setdefault(p, p)
-        if interned is p:
-            self.span |= code_span((p,))
-        return image_key, interned if p is c else c, kappa, interned
+        self.build = build
 
     @staticmethod
     def negated(item) -> tuple:
         """The item of the negated term."""
-        image_key, c, kappa, p = item
-        return (image_key, c, -kappa, None) if p is None else (image_key, -c, -kappa, p)
-
-    def keep_shared(self, by_image_key: bool) -> "ImageTable":
-        """Make each item whose p meets no other item's the item (image key, c, 1, None).
-
-        Two items meet when they hold one p and, if by_image_key, one image
-        key: in a substitution only those are summed together.  Only a
-        complete table may do so.  The pool goes; span then covers the p
-        that are left.
-        """
-        meets = (lambda item: (item[0], id(item[3]))) if by_image_key else (lambda item: id(item[3]))
-        uses = Counter(meets(item) for items in self.values() for item in items)
-        for key, items in self.items():
-            self[key] = tuple(
-                item if item[3] is None or uses[meets(item)] > 1 else (item[0], item[1], 1, None)
-                for item in items
-            )
-        self.span = code_span(p for items in self.values() for *_, p in items if p is not None)
-        self.pool = None
-        return self
+        image_key, kappa, c = item
+        return (image_key, -kappa, None) if c is None else (image_key, 1, -c)
 
     def __missing__(self, key):
-        items = self[key] = tuple(starmap(self.item, self.build(key).terms.items()))
+        items = self[key] = tuple(starmap(_item, self.build(key).terms.items()))
         return items
-
-
-def _products(contributions, table: ImageTable, alpha: ScalarForm):
-    """The _accumulate items of sign * c * f for each contribution (key, sign, f, item of table).
-
-    alpha holds every f.  A constant scales f.  The f that meet one p at one
-    key are summed, sum sign * kappa * f, and multiplied by p once, which is
-    exact by distributivity; a lone f is multiplied by c.  If a product of
-    the table's p with alpha's coefficients could overflow, nothing is
-    summed, so that ProductSum's guard sees every product.  Products and
-    scalings stream out as they come; each sum is formed after the last
-    contribution, one at a time.
-    """
-    num_vars = alpha.chart.dim
-    grouped = not (
-        table.span and products_may_overflow(table.span, code_span(alpha.terms.values()), num_vars)
-    )
-    groups = {}  # (key, id(p)) -> [p, (sign, f, c, kappa) for each f]
-    for key, sign, f, (_, c, kappa, p) in contributions:
-        if p is None:
-            yield key, kappa if sign > 0 else -kappa, f, c
-        elif not grouped:
-            yield key, sign, f, c
-        elif (members := groups.get((key, id(p)))) is None:
-            groups[key, id(p)] = [p, (sign, f, c, kappa)]
-        else:
-            members.append((sign, f, c, kappa))
-    while groups:
-        (key, _), (p, *members) = groups.popitem()
-        if len(members) == 1:
-            sign, f, c, _ = members[0]
-            yield key, sign, f, c
-            continue
-        acc = ProductSum(num_vars)
-        for sign, f, _, kappa in members:
-            acc.add_multiple(kappa if sign > 0 else -kappa, f)
-        if total := acc.total():
-            yield key, 1, total, p
 
 
 def _substituted(alpha: ScalarForm, table: ImageTable):
     """The _accumulate items of alpha with each dx^key replaced by its image table[key].
 
-    Each term f dx^key contributes f * c dx^image key for each item of
-    table[key], multiplied out by _products.  Every image is built before
-    _products reads the table's span.
+    Each term f dx^key contributes kappa * f * c dx^image key for each item
+    of table[key]: a scaling of f where c is None, else one product.
     """
-    rows = [(f, table[key]) for key, f in alpha.terms.items()]
-    items = ((item[0], 1, f, item) for f, items in rows for item in items)
-    return _products(items, table, alpha)
+    for key, f in alpha.terms.items():
+        for image_key, kappa, c in table[key]:
+            yield image_key, kappa, f, c
 
 
 def _substitute(alpha: ScalarForm, table: ImageTable, chart: "Chart | None" = None) -> ScalarForm:
@@ -761,15 +682,15 @@ def from_frame(form):
 
 
 def _frame_d_terms(alpha: ScalarForm, rows):
-    """Contributions (key, sign, d_k f, item) of sum_k d_k f dx^k wedge theta^I, rows[k] the items of dx^k."""
+    """The _accumulate items of sum_k d_k f dx^k wedge theta^I, rows[k] the image items of dx^k."""
     for key, f in alpha.terms.items():
         for k, items in enumerate(rows):
             df = f.partial_derivative(k)
             if df:
-                for item in items:
-                    merged, sign = _merge_sign(item[0], key)
+                for image_key, kappa, c in items:
+                    merged, sign = _merge_sign(image_key, key)
                     if merged is not None:
-                        yield merged, sign, df, item
+                        yield merged, kappa if sign > 0 else -kappa, df, c
 
 
 def _frame_d(alpha: ScalarForm) -> ScalarForm:
@@ -787,7 +708,7 @@ def _frame_d(alpha: ScalarForm) -> ScalarForm:
     d_theta = chart._coframe_cache.setdefault(
         "d", ImageTable(lambda key: to_frame(from_frame(ScalarForm(chart, {key: one})).exterior_d()))
     )
-    halves = chain(_products(_frame_d_terms(alpha, rows), coframe, alpha), _substituted(alpha, d_theta))
+    halves = chain(_frame_d_terms(alpha, rows), _substituted(alpha, d_theta))
     return ScalarForm(chart, _accumulate({}, halves))
 
 

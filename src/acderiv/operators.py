@@ -28,6 +28,7 @@ from .forms import (
     ImageTable,
     ScalarForm,
     VectorForm,
+    _item,
     _matrix_times,
     _substitute,
     bidegree_split,
@@ -275,33 +276,29 @@ def _exp_tables(phi: VectorForm, order: int) -> Tuple[ImageTable, ImageTable]:
     """The images sum_{j<=order} s^j/j! (i_phi)^j dx^I of all basis forms, for s = 1 and s = -1.
 
     Both come from one set of powers, each key stopping at its own first
-    zero power; an image key met at two orders keeps two items.  The table
-    of s = -1 negates the odd orders' items of the other, sharing the rest.
-    NotNilpotentError is raised if a power order+1 is nonzero: i_phi is
-    C^infinity-linear, so vanishing on the 2^dim basis forms is vanishing on
-    all forms.
+    zero power; an image key met at two orders keeps two items, and the
+    table of s = -1 negates the odd orders' items.  NotNilpotentError is
+    raised if a power order+1 is nonzero: i_phi is C^infinity-linear, so
+    vanishing on the 2^dim basis forms is vanishing on all forms.
     """
     chart = phi.chart
-    plus, parities = ImageTable(), {}
+    plus, minus = ImageTable(), ImageTable()
     for degree in range(chart.dim + 1):
         for key in combinations(range(chart.dim), degree):
-            items, odd = [], []
+            plus_items, minus_items = [], []
             power = ScalarForm(chart, {key: PolyScalar.one(chart.dim)})
             for j in range(order + 1):
                 weight = Fraction(1, factorial(j))
-                items += [plus.item(k, c.scale(weight) if j > 1 else c) for k, c in power.terms.items()]
-                odd += [j % 2] * len(power.terms)
+                for k, c in power.terms.items():
+                    item = _item(k, c.scale(weight) if j > 1 else c)
+                    plus_items.append(item)
+                    minus_items.append(ImageTable.negated(item) if j % 2 else item)
                 power = interior(phi, power)
                 if not power:
                     break
             if power:
                 raise NotNilpotentError(f"(i_phi)^{order + 1} does not vanish on the basis form of {key}")
-            plus[key], parities[key] = tuple(items), odd
-    plus.keep_shared(True)
-    minus = ImageTable()
-    minus.span = plus.span
-    for key, items in plus.items():
-        minus[key] = tuple(ImageTable.negated(item) if o else item for item, o in zip(items, parities[key]))
+            plus[key], minus[key] = tuple(plus_items), tuple(minus_items)
     return plus, minus
 
 

@@ -1,12 +1,12 @@
 """Form-layer products summed by ProductSum, checked against products summed one by one.
 
 wedge, interior, bidegree_split_scalar and value_projected multiply every
-coefficient pair straight into one numerator map per index key; interior
-first sums the target coefficients that meet proportional coefficients of K
-at one index key, and multiplies once per coefficient class.  The
-references here build each product with PolyScalar * and add it with +, so
-any slip in the running denominator, the signs or the cancellations shows up
-as a difference.  Every stored coefficient must also be canonical.
+coefficient pair straight into one numerator map per index key; a constant
+coefficient scales instead, and makes no product.  The references here
+build each product with PolyScalar * and add it with +, so any slip in the
+running denominator, the signs or the cancellations shows up as a
+difference.  Every stored coefficient must also be canonical, and every
+product passes the exponent guard.
 """
 
 import random
@@ -17,7 +17,7 @@ from math import gcd
 import pytest
 
 from acderiv import VectorForm, interior, random_form, wedge
-from acderiv.algebra import GaussRational, PolyScalar, ProductSum
+from acderiv.algebra import GaussRational, PolyScalar
 from acderiv.forms import (
     BundleForm,
     ImageTable,
@@ -185,8 +185,6 @@ def test_interior_by_coefficient_class_matches_products_one_by_one(request, char
     chart = request.getfixturevalue(chart_name)
     rng = random.Random(f"classes-{seed}")
     phi = typed_phi(chart, seed)
-    shared = [p for items in phi.coefficients().values() for *_, p in items if p is not None]
-    assert shared, "a typed form has proportional coefficients"
     for K in (phi, phi.conjugate(), -phi):
         for degree in (1, 2, 3):
             target = random_scalar(chart, degree, rng)
@@ -216,27 +214,6 @@ def test_grouped_contributions_that_cancel_leave_no_key(std2):
     target = ScalarForm(std2, {(0, 1): f})
     assert interior(K, target) == ref_interior(K, target)
     assert interior(K, target).is_zero()
-
-
-def test_interior_multiplies_once_per_class_and_key(std2, monkeypatch):
-    phi = typed_phi(std2, 0)
-    u = random_scalar(std2, 1, random.Random("count"))
-    assert len(u.terms) == 4
-    products = []
-    add = ProductSum.add
-
-    def counting_add(self, sign, f, g=None):
-        if g is not None:
-            products.append((f, g))
-        return add(self, sign, f, g)
-
-    monkeypatch.setattr(ProductSum, "add", counting_add)
-    got = interior(phi, u)
-    monkeypatch.undo()
-    # each output dx^b meets phi^a_b for the four axes a: two classes, not four products
-    assert len(got.terms) == 4
-    assert len(products) == 2 * len(got.terms)
-    assert got == ref_interior(phi, u)
 
 
 @pytest.mark.parametrize("chart_name", ["std2", "twisted2"])
@@ -291,12 +268,12 @@ def test_grouped_products_that_overflow_still_raise(std2):
 
 
 def test_substituted_products_that_cancel_still_raise(std2):
-    # dx1 -> p dx1 and dx2 -> -p dx1 share p = x1 + x2: on f dx1 + f dx2 the grouped sum
-    # f - f is 0, so only the guard of the products f * p, one per key, sees the overflow
+    # dx1 -> p dx1 and dx2 -> -p dx1 with p = x1 + x2: on f dx1 + f dx2 the products f * p and
+    # -f * p cancel at one key, so only the guard of their ProductSum sees the overflow
+    p = PolyScalar.variable(0, std2.dim) + PolyScalar.variable(1, std2.dim)
     table = ImageTable()
-    _, c, kappa, p = table.item((0,), PolyScalar.variable(0, std2.dim) + PolyScalar.variable(1, std2.dim))
-    table[(0,)] = (((0,), c, kappa, p),)
-    table[(1,)] = (((0,), -c, -kappa, p),)
+    table[(0,)] = (((0,), 1, p),)
+    table[(1,)] = (((0,), 1, -p),)
     top = PolyScalar.monomial(1, (2**15 - 1,) + (0,) * (std2.dim - 1), std2.dim)
     with pytest.raises(OverflowError):
         _substitute(ScalarForm(std2, {(0,): top, (1,): top}), table)

@@ -278,6 +278,24 @@ def test_frame_and_bidegree_images_do_not_share_memo_entries():
     assert frame_changes(split_first) == frames
 
 
+def test_constant_coframe_tables_multiply_nothing(std2, twisted2, term_pairs):
+    # a standard chart's A and the projectors of a builtin chart's frame are constant, so the
+    # frame change on standard:2 and the bidegree projection in twisted:2's frame only scale
+    rng = random.Random("constant-tables")
+    on_standard = [random_bundle_form(std2, 1, k, 2, rng) for k in range(std2.dim + 1)]
+    in_frame = [to_frame(random_bundle_form(twisted2, 1, k, 2, rng)) for k in range(twisted2.dim + 1)]
+
+    def substitutions():
+        moved = [(to_frame(u), from_frame(to_frame(u))) for u in on_standard]
+        split = [bidegree_split(v, p, k - p) for k, v in enumerate(in_frame) for p in range(k + 1)]
+        return moved, split
+
+    expected = substitutions()  # builds every image table, by products of constants
+    term_pairs.clear()
+    assert substitutions() == expected
+    assert term_pairs == []
+
+
 def test_exp_on_twisted3_makes_fewer_term_pairs_than_the_series(term_pairs):
     # dense twisted:3 input: T3.8.1's phi at seed 7 and a random 3-form.  In the J-diagonal
     # frame phi has n^2 coefficients, and the image table beats the coordinate series

@@ -57,7 +57,7 @@ from acderiv.operators import (
     series,
     vanishing_order,
 )
-from acderiv.algebra import GaussRational, PolyScalar, ProductSum
+from acderiv.algebra import GaussRational, PolyScalar
 from acderiv.verifier import (
     IdentityCheck,
     _CheckContext,
@@ -339,43 +339,6 @@ def test_exp_certifies_theorem_38_inputs(chart):
     psibar = conjugate_form(ctx.form("psi"))
     for form in (phi, psibar):
         exp_interior(form)  # raises NotNilpotentError unless (i_form)^{n+1} = 0
-
-
-def normalised(c):
-    """c divided by one of its coefficients, so that proportional polynomials agree."""
-    return c.scale(GaussRational(1) / c.coefficient(min(c.terms_by_exponents())))
-
-
-def test_exp_makes_one_product_per_image_key_and_coefficient(std2, monkeypatch):
-    # e^{-i_phi} sum_I f_I dx^I = sum_I f_I sum_j (-1)^j/j! (i_phi)^j dx^I: the f_I that meet one
-    # coefficient p (up to a constant) at one image key are summed and multiplied by p once;
-    # a constant factor makes no polynomial product
-    phi = random_form(std2, (0, 1), "1,0", 2, "exp-work")
-    rng = random.Random("exp-work-probe")
-    u = BundleForm.zero(std2, 1)
-    for degree in range(std2.dim + 1):
-        u = u + random_bundle_form(std2, 1, degree, 2, rng)
-    one = PolyScalar.one(std2.dim)
-    images = set()
-    for key in u.comps[0].terms:
-        power = ScalarForm(std2, {key: one})
-        while power:
-            images.update((k, normalised(c)) for k, c in power.terms.items() if c.total_degree() > 0)
-            power = interior(phi, power)
-    _, exp_minus = exp_interior(phi)
-    products = []
-    add = ProductSum.add
-
-    def counting_add(self, sign, f, g=None):
-        if g is not None and g.total_degree() > 0:
-            products.append((f, g))
-        return add(self, sign, f, g)
-
-    monkeypatch.setattr(ProductSum, "add", counting_add)
-    image = exp_minus(u)
-    monkeypatch.undo()
-    assert 0 < len(products) <= len(images)
-    assert image == series(u, interior_op(-phi).action, std2.n)
 
 
 @pytest.mark.parametrize("chart", ["standard:2", "twisted:2"])
