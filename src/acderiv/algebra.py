@@ -577,10 +577,10 @@ class AlgebraElement:
         self.entries = tuple(rows)
 
     @staticmethod
-    def identity(dim: int) -> "AlgebraElement":
-        return AlgebraElement(
-            [[1 if i == j else 0 for j in range(dim)] for i in range(dim)]
-        )
+    def identity(dim: int, num_vars: int | None = None) -> "AlgebraElement":
+        """The identity; with num_vars, a polynomial matrix of constants in num_vars variables."""
+        one, zero = (1, 0) if num_vars is None else (PolyScalar.one(num_vars), PolyScalar.zero(num_vars))
+        return AlgebraElement([[one if i == j else zero for j in range(dim)] for i in range(dim)])
 
     @staticmethod
     def zero(dim: int) -> "AlgebraElement":
@@ -591,6 +591,12 @@ class AlgebraElement:
         return AlgebraElement(
             [[1 if (r, c) == (i, j) else 0 for c in range(dim)] for r in range(dim)]
         )
+
+    @property
+    def num_vars(self) -> int | None:
+        """The variable count of a polynomial matrix; None for a constant one."""
+        first = self.entries[0][0] if self.dim else None
+        return first.num_vars if isinstance(first, PolyScalar) else None
 
     def __getitem__(self, row: int) -> tuple:
         return self.entries[row]
@@ -615,8 +621,7 @@ class AlgebraElement:
     def __mul__(self, other):
         """The matrix product; each entry sums only the products of nonzero pairs."""
         self._check(other)
-        first = self.entries[0][0] if self.dim else GR_ZERO
-        zero = PolyScalar.zero(first.num_vars) if isinstance(first, PolyScalar) else GR_ZERO
+        zero = GR_ZERO if self.num_vars is None else PolyScalar.zero(self.num_vars)
         cols = list(zip(*other.entries))
         rows = []
         for row in self.entries:

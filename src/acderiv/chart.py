@@ -15,13 +15,6 @@ from typing import List, Sequence
 from .algebra import GR_HALF, AlgebraElement, GaussRational, PolyScalar, ProductSum
 
 
-def _poly_identity(dim: int) -> AlgebraElement:
-    """The dim x dim identity matrix with constant polynomial entries in dim variables."""
-    return AlgebraElement(
-        [[PolyScalar.constant(1 if i == j else 0, dim) for j in range(dim)] for i in range(dim)]
-    )
-
-
 class Chart:
     """R^(2n) with a polynomial matrix field J satisfying J*J = -I identically.
 
@@ -57,7 +50,7 @@ class Chart:
         self._coframe_cache: dict = {}
         self._framed = None
         self.base = self
-        ident = _poly_identity(self.dim)
+        ident = AlgebraElement.identity(self.dim, self.dim)
         if J * J != -ident:
             raise ValueError("J*J != -I: not an almost complex structure")
         if frame is not None and frame[0] * frame[1] != ident:
@@ -68,7 +61,7 @@ class Chart:
         if side not in ("1,0", "0,1"):
             raise ValueError(f'value side must be "1,0" or "0,1", got {side!r}')
         if not self._projectors:
-            half = _poly_identity(self.dim).scale(GR_HALF)
+            half = AlgebraElement.identity(self.dim, self.dim).scale(GR_HALF)
             half_iJ = self.J.scale(GaussRational(0, Fraction(1, 2)))
             self._projectors = {"1,0": half - half_iJ, "0,1": half + half_iJ}
         return self._projectors[side]
@@ -147,7 +140,7 @@ def make_twisted_chart(n: int, N: Sequence[Sequence[PolyScalar]], name: str | No
         raise ValueError(f"N must be {dim}x{dim}")
     if any(N[i][j] for i in range(dim) for j in range(i + 1)):
         raise ValueError("N must be strictly upper-triangular")
-    ident = _poly_identity(dim)
+    ident = AlgebraElement.identity(dim, dim)
     inverse = term = ident
     for _ in range(dim - 1):
         term = -(term * N)

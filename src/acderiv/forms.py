@@ -314,13 +314,16 @@ class VectorForm:
 
 
 def _matrix_times(chart: "Chart", mat, comps: Sequence[ScalarForm]) -> list:
-    """[sum_a mat[b][a] * comps[a] for each row b] for a polynomial matrix mat."""
+    """[sum_a mat[b][a] * comps[a] for each row b] for a polynomial matrix mat.
+
+    Each nonzero entry is taken as an image item (_item), so a constant one scales.
+    """
     out = []
     for row in mat.entries:
+        factors = [(comp, _item((), entry)) for comp, entry in zip(comps, row) if entry]
         items = (
-            (key, 1, f, row[a])
-            for a, comp in enumerate(comps)
-            if row[a]
+            (key, kappa, f, c)
+            for comp, (_, kappa, c) in factors
             for key, f in comp.terms.items()
         )
         out.append(ScalarForm(chart, _accumulate({}, items)))
@@ -525,8 +528,9 @@ def _row_form(chart: "Chart", row) -> ScalarForm:
 def _wedge_rows(chart: "Chart", key: tuple, mats) -> ScalarForm:
     """dx^key with slot pos replaced by row key[pos] of mats[pos], wedged in slot order."""
     image = ScalarForm.constant(chart, 1)
-    for k, mat in zip(key, mats):
-        image = image.wedge(_row_form(chart, mat[k]))
+    for pos, (k, mat) in enumerate(zip(key, mats)):
+        row = _row_form(chart, mat[k])
+        image = image.wedge(row) if pos else row
         if not image:
             break
     return image
@@ -558,15 +562,14 @@ class ImageTable(dict):
         super().__init__()
         self.build = build
 
-    @staticmethod
-    def negated(item) -> tuple:
-        """The item of the negated term."""
-        image_key, kappa, c = item
-        return (image_key, -kappa, None) if c is None else (image_key, 1, -c)
-
     def __missing__(self, key):
         items = self[key] = tuple(starmap(_item, self.build(key).terms.items()))
         return items
+
+
+def pullback_table(chart: "Chart", mat) -> ImageTable:
+    """The pullback by mat as a table: dx^key -> the wedge over k in key of sum_c mat[k][c] dx^c."""
+    return ImageTable(lambda key: _wedge_rows(chart, key, [mat] * len(key)))
 
 
 def _substituted(alpha: ScalarForm, table: ImageTable):
@@ -643,8 +646,7 @@ def bidegree_split(form, p: int, q: int, value_side: str | None = None):
 
 def _frame_table(base: "Chart", inward: bool) -> ImageTable:
     """dx^key -> its image in the frame (inward), or theta^key -> its image in coordinates."""
-    mat = base.frame[0 if inward else 1]
-    image = ImageTable(lambda key: _wedge_rows(base, key, [mat] * len(key)))
+    image = pullback_table(base, base.frame[0 if inward else 1])
     return base._coframe_cache.setdefault(("frame", inward), image)
 
 

@@ -17,7 +17,6 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import factorial
 from typing import Callable, List, Sequence, Tuple
 
@@ -25,16 +24,15 @@ from .algebra import AlgebraElement, GaussRational, PolyScalar
 from .chart import Chart
 from .forms import (
     BundleForm,
-    ImageTable,
     ScalarForm,
     VectorForm,
-    _item,
     _matrix_times,
     _substitute,
     bidegree_split,
     conjugate_form,
     from_frame,
     interior,
+    pullback_table,
     random_scalar_form,
     to_frame,
 )
@@ -140,14 +138,6 @@ class DerivationOp:
             self.degree,
             lambda u, a=self.action, c=value: a(u).scale(c),
             f"({value})*{self.tag}",
-        )
-
-    def compose(self, other: "DerivationOp") -> "DerivationOp":
-        """self after other."""
-        return DerivationOp(
-            self.degree + other.degree,
-            lambda u, a=self.action, b=other.action: a(b(u)),
-            f"{self.tag}∘{other.tag}",
         )
 
 
@@ -272,66 +262,38 @@ def vanishing_order(x, step, bound: int):
     return bound if power.is_zero() else None
 
 
-def _exp_tables(phi: VectorForm, order: int) -> Tuple[ImageTable, ImageTable]:
-    """The images sum_{j<=order} s^j/j! (i_phi)^j dx^I of all basis forms, for s = 1 and s = -1.
-
-    Both come from one set of powers, each key stopping at its own first
-    zero power; an image key met at two orders keeps two items, and the
-    table of s = -1 negates the odd orders' items.  NotNilpotentError is
-    raised if a power order+1 is nonzero: i_phi is C^infinity-linear, so
-    vanishing on the 2^dim basis forms is vanishing on all forms.
-    """
-    chart = phi.chart
-    plus, minus = ImageTable(), ImageTable()
-    for degree in range(chart.dim + 1):
-        for key in combinations(range(chart.dim), degree):
-            plus_items, minus_items = [], []
-            power = ScalarForm(chart, {key: PolyScalar.one(chart.dim)})
-            for j in range(order + 1):
-                weight = Fraction(1, factorial(j))
-                for k, c in power.terms.items():
-                    item = _item(k, c.scale(weight) if j > 1 else c)
-                    plus_items.append(item)
-                    minus_items.append(ImageTable.negated(item) if j % 2 else item)
-                power = interior(phi, power)
-                if not power:
-                    break
-            if power:
-                raise NotNilpotentError(f"(i_phi)^{order + 1} does not vanish on the basis form of {key}")
-            plus[key], minus[key] = tuple(plus_items), tuple(minus_items)
-    return plus, minus
-
-
 def exp_interior(phi: VectorForm) -> Tuple[DerivationOp, DerivationOp]:
-    """(e^{i_phi}, e^{-i_phi}) for a form-degree-1 phi, truncated at the chart's
-    nilpotency order n+1.
+    """(e^{i_phi}, e^{-i_phi}) for a form-degree-1 phi, exact.
 
-    The truncation is exact only if (i_phi)^{n+1} = 0; that is certified here,
-    once per call, and NotNilpotentError is raised when it fails.  Both maps
-    are one substitution of the images of the basis forms (_exp_tables),
-    built once per call in phi's basis, and act on forms written in it.  In a
-    builtin chart's frame (forms.to_frame) J is diagonal, so a phi of type
-    (0,1) valued in T^{1,0} has only n^2 nonzero coefficients, at (1,0)
-    values and (0,1) keys: i_phi kills every (0,1) basis covector, and
-    (i_phi)^j theta^I vanishes once j exceeds the number of (1,0) slots of I.
+    i_phi is a degree-0 derivation that kills functions, so e^{±i_phi} is the
+    algebra automorphism (exp ±Φ)^*, with Φ[a][b] the theta^b coefficient of
+    i_phi theta^a = phi^a: each theta^a goes to sum_b exp(±Φ)[a][b] theta^b.
+    Each map is one substitution by the wedged rows of matrix_exp_nilpotent(±Φ)
+    (forms.pullback_table), built per key on first use, and acts on forms
+    written in phi's basis.  nilpotency_index(Φ) certifies the finite series;
+    NotNilpotentError is raised where Φ is not nilpotent.
     """
     if phi.degree != 1:
         raise ValueError("exponential conjugation needs a form-degree-1 argument")
+    chart = phi.chart
+    zero = PolyScalar.zero(chart.dim)
+    Phi = AlgebraElement([[comp.terms.get((b,), zero) for b in range(chart.dim)] for comp in phi.comps])
 
-    def exp_op(table: ImageTable, tag: str) -> DerivationOp:
+    def exp_op(mat: AlgebraElement, tag: str) -> DerivationOp:
+        table = pullback_table(chart, mat)
+
         def act(u: BundleForm) -> BundleForm:
-            if u.chart is not phi.chart:
+            if u.chart is not chart:
                 raise ValueError("forms live on different charts")
             return BundleForm(u.chart, [_substitute(c, table) for c in u.comps])
 
         return DerivationOp(0, act, tag)
 
-    plus, minus = _exp_tables(phi, phi.chart.n)
-    return exp_op(plus, "e^{i_φ}"), exp_op(minus, "e^{-i_φ}")
+    return exp_op(matrix_exp_nilpotent(Phi), "e^{i_φ}"), exp_op(matrix_exp_nilpotent(-Phi), "e^{-i_φ}")
 
 
 def conjugate_operator(op: DerivationOp, phi: VectorForm) -> DerivationOp:
-    """e^{-i_phi} ∘ D ∘ e^{i_phi}, by the direct truncated series, for a D acting in phi's basis.
+    """e^{-i_phi} ∘ D ∘ e^{i_phi}, by the exact exponentials, for a D acting in phi's basis.
 
     The exponentials run in the frame of phi's chart (forms.to_frame).  Where
     phi is written in coordinates, each input moves in for e^{i_phi} and out
@@ -430,9 +392,9 @@ def conjugation_residuals(
     Everything runs in the frame of phi's chart (forms.to_frame), where D and
     R must act: each member u moves in once, and only a nonzero residual moves
     back out, which is exact because the change is invertible.  The
-    conjugation is the direct truncated series, no closed form: it is the
-    brute-force oracle the bracket formulas are compared against.  Per member
-    it applies e^{i_phi} once, each D once, e^{-i_phi} once per distinct D
+    conjugation is the exact exponential (exp_interior), no bracket formula:
+    it is the brute-force oracle the bracket formulas are compared against.
+    Per member it applies e^{i_phi} once, each D once, e^{-i_phi} once per distinct D
     image (exactly equal images share it) in the first group that needs it,
     and each distinct R once; every value is dropped after the last group that
     needs it.  Residuals come in family order.
@@ -586,8 +548,12 @@ def nilpotency_index(x: AlgebraElement) -> int:
 
 
 def matrix_exp_nilpotent(x: AlgebraElement) -> AlgebraElement:
-    """Finite exponential series of a nilpotent matrix; exact."""
-    return series(AlgebraElement.identity(x.dim), lambda power: power * x, nilpotency_index(x) - 1)
+    """Finite exponential series of a nilpotent constant or polynomial matrix; exact.
+
+    Written I + sum_{j>=1} x^j/j!, so that no power is a product with I.
+    """
+    ident = AlgebraElement.identity(x.dim, x.num_vars)
+    return ident + series(x, lambda power: power * x, nilpotency_index(x) - 2, shift=1)
 
 
 def algebra_iterated_bracket(

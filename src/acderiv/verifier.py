@@ -84,7 +84,7 @@ class IdentityCheck:
 STATUSES = ("pass", "fail", "skip", "error")
 
 # reason prefix of an "error" that is a limit of the checker: a coefficient
-# exponent past the packed field, or an exponential series it cannot certify
+# exponent past the packed field, or an exponential of a phi whose matrix is not nilpotent
 CHECKER_LIMIT = "checker limit: "
 
 
@@ -559,7 +559,7 @@ def check_identity(spec: IdentityCheck) -> IdentityReport:
     except CheckSkipped as skip:
         status, reason, worst = "skip", skip.reason, (None, None)
     except (OverflowError, NotNilpotentError) as exc:
-        # the exponent guard or the series certificate: a limit of the checker, not a counterexample
+        # the exponent guard or nilpotency_index: a limit of the checker, not a counterexample
         status, reason, worst = "error", f"{CHECKER_LIMIT}{exc}", (None, None)
     except (ValueError, ArithmeticError) as exc:
         # construction errors surface as distinct failures, never silent passes

@@ -175,13 +175,13 @@ def test_fused_products_match_products_summed_one_by_one(twisted2, seed):
 
 
 def typed_phi(chart, seed):
-    """A (0,1)-form valued in T^{1,0}: proportional coefficients come from the complex structure."""
+    """A (0,1)-form valued in T^{1,0}, of the type the Theorem 3.8 checks draw phi from."""
     return random_form(chart, (0, 1), "1,0", 2, f"typed-{seed}")
 
 
 @pytest.mark.parametrize("chart_name", ["std2", "twisted2"])
 @pytest.mark.parametrize("seed", range(3))
-def test_interior_by_coefficient_class_matches_products_one_by_one(request, chart_name, seed):
+def test_interior_of_typed_forms_matches_products_one_by_one(request, chart_name, seed):
     chart = request.getfixturevalue(chart_name)
     rng = random.Random(f"classes-{seed}")
     phi = typed_phi(chart, seed)
@@ -198,11 +198,11 @@ def vector_comps(chart, entries):
     return [ScalarForm(chart, entries.get(axis, {})) for axis in range(chart.dim)]
 
 
-def test_grouped_contributions_that_cancel_leave_no_key(std2):
+def test_interior_contributions_that_cancel_leave_no_key(std2):
     x1, x2 = PolyScalar.variable(0, 4), PolyScalar.variable(1, 4)
     q = x1 * x2 + PolyScalar.constant(GaussRational(1, 2), 4)
     i = GaussRational(0, 1)
-    # kappa^1 = q dx3, kappa^2 = i q dx3: one class; i_K (f dx1 + i f dx2) = (q f - q f) dx3
+    # kappa^1 = q dx3, kappa^2 = i q dx3: i_K (f dx1 + i f dx2) = (q f - q f) dx3
     K = VectorForm(std2, 1, vector_comps(std2, {0: {(2,): q}, 1: {(2,): q.scale(i)}}))
     f = x1 + x2 * x2
     target = ScalarForm(std2, {(0,): f, (1,): f.scale(i), (3,): x2})
@@ -257,9 +257,9 @@ def test_overflowed_products_that_cancel_still_raise(std2):
         interior(VectorForm(std2, 1, comps), target)
 
 
-def test_grouped_products_that_overflow_still_raise(std2):
-    # kappa^1 = kappa^2 = p dx3 share a class; on (p + x2) dx1 - p dx2 their combination
-    # is x2, whose product with p fits, but p * p overflows in both products
+def test_overflowing_products_whose_sum_fits_still_raise(std2):
+    # kappa^1 = kappa^2 = p dx3: on (p + x2) dx1 - p dx2 the sum of the two contributions
+    # is x2 * p, which fits, but p * p overflows in both products
     x2 = PolyScalar.variable(1, std2.dim)
     K = VectorForm(std2, 1, vector_comps(std2, {0: {(2,): big(std2)}, 1: {(2,): big(std2)}}))
     target = ScalarForm(std2, {(0,): big(std2) + x2, (1,): big(std2, -1)})

@@ -280,15 +280,24 @@ def test_frame_and_bidegree_images_do_not_share_memo_entries():
 
 def test_constant_coframe_tables_multiply_nothing(std2, twisted2, term_pairs):
     # a standard chart's A and the projectors of a builtin chart's frame are constant, so the
-    # frame change on standard:2 and the bidegree projection in twisted:2's frame only scale
+    # frame change on standard:2 and the bidegree and value projection in twisted:2's frame
+    # only scale, a vector form's values as well as its slots
     rng = random.Random("constant-tables")
     on_standard = [random_bundle_form(std2, 1, k, 2, rng) for k in range(std2.dim + 1)]
     in_frame = [to_frame(random_bundle_form(twisted2, 1, k, 2, rng)) for k in range(twisted2.dim + 1)]
+    K = random_vector_form(std2, 1, 2, rng)
+    K_in_frame = to_frame(random_vector_form(twisted2, 1, 2, rng))
 
     def substitutions():
         moved = [(to_frame(u), from_frame(to_frame(u))) for u in on_standard]
         split = [bidegree_split(v, p, k - p) for k, v in enumerate(in_frame) for p in range(k + 1)]
-        return moved, split
+        vectors = [
+            to_frame(K),
+            from_frame(to_frame(K)),
+            K_in_frame.value_projected("1,0"),
+            bidegree_split(K_in_frame, 0, 1, "1,0"),
+        ]
+        return moved, split, vectors
 
     expected = substitutions()  # builds every image table, by products of constants
     term_pairs.clear()

@@ -3,6 +3,7 @@
 import dataclasses
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import factorial
 
 import pytest
@@ -39,6 +40,7 @@ from acderiv.forms import (
     random_scalar_form,
     random_vector_form,
     to_frame,
+    vector_one_form_from_matrix,
 )
 from acderiv import operators
 from acderiv.operators import (
@@ -332,13 +334,37 @@ def test_exp_rejects_non_nilpotent_argument(twisted2):
         exp_interior(identity_vector_form(twisted2))
 
 
+def test_exp_is_exact_past_order_n(std2):
+    # Phi = N with N^3 != 0, so (i_phi)^3 dx1 != 0 although n = 2: the pullback by exp(±N)
+    # is the whole series, which a truncation at order n would cut short
+    one, zero = PolyScalar.one(std2.dim), PolyScalar.zero(std2.dim)
+    N = [[zero] * std2.dim for _ in range(std2.dim)]
+    for a in range(std2.dim - 1):
+        N[a][a + 1] = one
+    N[0][2] = PolyScalar.variable(3, std2.dim)
+    N = AlgebraElement(N)
+    assert not (N * N * N).is_zero()
+    phi = vector_one_form_from_matrix(std2, N)
+    basis = [
+        BundleForm.from_scalar(ScalarForm(std2, {key: one}), 1)
+        for k in range(std2.dim + 1)
+        for key in combinations(range(std2.dim), k)
+    ]
+    exp_plus, exp_minus = exp_interior(phi)
+    for exp, K in ((exp_plus, phi), (exp_minus, -phi)):
+        for u in basis:
+            assert exp(u) == series(u, interior_op(K).action, std2.dim**2)
+    for u in basis:
+        assert exp_minus(exp_plus(u)) == u
+
+
 @pytest.mark.parametrize("chart", ["standard:2", "twisted:2"])
 def test_exp_certifies_theorem_38_inputs(chart):
     ctx = _CheckContext(IdentityCheck(id="T3.8.6", chart=chart, seed=7))
     phi = ctx.form("phi")
     psibar = conjugate_form(ctx.form("psi"))
     for form in (phi, psibar):
-        exp_interior(form)  # raises NotNilpotentError unless (i_form)^{n+1} = 0
+        exp_interior(form)  # raises NotNilpotentError unless the matrix of i_form is nilpotent
 
 
 @pytest.mark.parametrize("chart", ["standard:2", "twisted:2"])

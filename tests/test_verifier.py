@@ -1,5 +1,6 @@
 """The identity registry: determinism, skips, negative controls, cross-checks."""
 
+import sys
 from fractions import Fraction
 from functools import cache
 from math import factorial
@@ -16,7 +17,8 @@ from acderiv import (
     nr_bracket,
     random_form,
 )
-from acderiv.forms import from_frame, to_frame
+from acderiv import forms
+from acderiv.forms import BundleForm, from_frame, to_frame
 from acderiv.operators import (
     conjugate_operator,
     connection_split,
@@ -149,6 +151,25 @@ def test_corruption_needs_a_nonzero_phi_bracket_not_torsion(chart, caught):
     assert len(residuals) == caught
     skipped = check_identity(IdentityCheck(id="NEG-T3.8.1", chart=chart, seed=7))
     assert skipped.status == "skip"
+
+
+def test_a_sign_error_in_interior_fails_the_conjugated_interior_and_lie(monkeypatch):
+    # e^{±i_phi} is the pullback by exp(±Phi) and never calls interior, so with i_K negated
+    # everywhere else the brute-force side of T3.8.4 and T3.8.5 no longer matches the bracket sums
+    real = forms.interior
+
+    def negated(K, u):
+        image = real(K, u)  # a bundle form's components come back through this replacement
+        return image if isinstance(u, BundleForm) else -image
+
+    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "acderiv"]:
+        for name, value in list(vars(module).items()):
+            if value is real:
+                monkeypatch.setattr(module, name, negated)
+    for chart in ("standard:2", "twisted:2"):
+        for check in ("T3.8.4", "T3.8.5"):
+            report = check_identity(IdentityCheck(id=check, chart=chart, seed=7))
+            assert report.status == "fail", (chart, check)
 
 
 @cache
