@@ -1,10 +1,13 @@
 """Graded operators on bundle-valued forms, plus nilpotent conjugation of matrices.
 
-A DerivationOp is a degree, an action and a tag, not a symbolic normal form:
-operator identities are decided extensionally, by applying both sides to the
-generator family of the trivial bundle (coordinate functions, coordinate
-differentials, frame sections, and their products) together with random
-whole-form probes.
+A DerivationOp is data: a primitive (an action and a tag: nabla, its bigraded
+parts, an interior product, an exponential) or a linear combination of
+compositions of operators.  Sums, commutators, Lie derivatives and conjugations
+are combinations, so an operator can be inspected and prints as a formula.  It
+is not a symbolic normal form: operator identities are decided extensionally,
+by applying both sides to the generator family of the trivial bundle
+(coordinate functions, coordinate differentials, frame sections, and their
+products) together with random whole-form probes.
 
 The matrix half of the module realizes the finite-commutability toolkit for
 nilpotent conjugation (iterated commutators, closed-form conjugation, and the
@@ -13,9 +16,9 @@ transported exponential) on constant AlgebraElements over Gaussian rationals.
 
 from __future__ import annotations
 
-import operator
 import random
 from dataclasses import dataclass
+from functools import partial
 from fractions import Fraction
 from math import factorial
 from typing import Callable, List, Sequence, Tuple
@@ -64,7 +67,6 @@ class Connection:
         self.chart = chart
         self.rank = rank
         self.omega = [list(row) for row in omega]
-        self._split = None
 
     @staticmethod
     def trivial(chart: Chart, rank: int = 1) -> "Connection":
@@ -105,48 +107,68 @@ def random_connection(chart: Chart, rank: int, max_degree: int, seed) -> Connect
 
 @dataclass(frozen=True)
 class DerivationOp:
-    """A graded operator on bundle-valued forms: degree, action and display tag."""
+    """A graded operator on bundle-valued forms, as data.
+
+    A primitive has an action and a tag.  Any other operator is a combination:
+    terms = ((c, (D1, ..., Dm)), ...) is sum c * D1 ∘ ... ∘ Dm, each composition
+    applied right to left and the terms summed in order; terms = () is the zero
+    operator and ((1, ()),) the identity.
+    """
 
     degree: int
-    action: Callable[[BundleForm], BundleForm]
-    tag: str
+    action: Callable[[BundleForm], BundleForm] | None = None
+    tag: str = ""
+    terms: Tuple[Tuple[object, Tuple["DerivationOp", ...]], ...] = ()
 
     def __call__(self, u: BundleForm) -> BundleForm:
-        return self.action(u)
+        if self.action is not None:
+            return self.action(u)
+        out = None
+        for c, factors in self.terms:
+            image = u
+            for factor in reversed(factors):
+                image = factor(image)
+            if c == -1 and out is not None:
+                out = out - image
+            else:
+                image = image if c == 1 else -image if c == -1 else image.scale(c)
+                out = image if out is None else out + image
+        return BundleForm.zero(u.chart, u.rank) if out is None else out
 
-    def _pointwise(self, other: "DerivationOp", op, symbol: str) -> "DerivationOp":
-        """u -> op(self(u), other(u)), for op = operator.add or operator.sub."""
-        if self.degree != other.degree:
-            raise ValueError("cannot combine operators of different degrees")
-        return DerivationOp(
-            self.degree,
-            lambda u, a=self.action, b=other.action: op(a(u), b(u)),
-            f"({self.tag} {symbol} {other.tag})",
-        )
+    def __str__(self) -> str:
+        if self.action is not None:
+            return self.tag
+        text = ""
+        for c, factors in self.terms:
+            word = "∘".join(f.tag if f.action is not None else f"({f})" for f in factors) or "id"
+            text += f" - {word}" if c == -1 else f" + {word}" if c == 1 else f" + ({c})·{word}"
+        return text[3:] if text.startswith(" + ") else f"-{text[3:]}" if text else "0"
+
+    def _summands(self):
+        """The terms of self, a primitive as its one-factor composition."""
+        return self.terms if self.action is None else ((1, (self,)),)
 
     def __add__(self, other: "DerivationOp") -> "DerivationOp":
-        return self._pointwise(other, operator.add, "+")
+        if self.degree != other.degree:
+            raise ValueError("cannot combine operators of different degrees")
+        return DerivationOp(self.degree, terms=self._summands() + other._summands())
 
     def __neg__(self) -> "DerivationOp":
-        return DerivationOp(self.degree, lambda u, a=self.action: -a(u), f"(-{self.tag})")
+        return self.scale(-1)
 
     def __sub__(self, other: "DerivationOp") -> "DerivationOp":
-        return self._pointwise(other, operator.sub, "-")
+        return self + -other
 
     def scale(self, value) -> "DerivationOp":
-        return DerivationOp(
-            self.degree,
-            lambda u, a=self.action, c=value: a(u).scale(c),
-            f"({value})*{self.tag}",
-        )
+        return DerivationOp(self.degree, terms=tuple((c * value, f) for c, f in self._summands()))
 
 
 def identity_op() -> DerivationOp:
-    return DerivationOp(0, lambda u: u, "id")
+    return DerivationOp(0, terms=((1, ()),))
 
 
 def interior_op(K: VectorForm) -> DerivationOp:
-    return DerivationOp(K.degree - 1, lambda u, k=K: interior(k, u), f"i_[{K.degree}-form]")
+    return DerivationOp(K.degree - 1, partial(interior, K), f"i_[{K.degree}-form]")
 
 
 def nabla(conn: Connection) -> DerivationOp:
@@ -155,14 +177,8 @@ def nabla(conn: Connection) -> DerivationOp:
 
 def graded_commutator(d1: DerivationOp, d2: DerivationOp) -> DerivationOp:
     """[D1, D2] = D1 D2 - (-1)^{k1 k2} D2 D1."""
-    sign = 1 if (d1.degree * d2.degree) % 2 == 0 else -1
-
-    def act(u: BundleForm) -> BundleForm:
-        first = d1.action(d2.action(u))
-        second = d2.action(d1.action(u))
-        return first - second if sign > 0 else first + second
-
-    return DerivationOp(d1.degree + d2.degree, act, f"[{d1.tag},{d2.tag}]")
+    sign = -1 if (d1.degree * d2.degree) % 2 else 1
+    return DerivationOp(d1.degree + d2.degree, terms=((1, (d1, d2)), (-sign, (d2, d1))))
 
 
 def _bundle_bidegree_parts(u: BundleForm):
@@ -178,6 +194,14 @@ def _bundle_bidegree_parts(u: BundleForm):
                 yield p, k - p, piece
 
 
+def _shifted(conn: Connection, dp: int, dq: int, u: BundleForm) -> BundleForm:
+    """sum over the (p, q) pieces of u of Pi^{p+dp,q+dq} nabla Pi^{p,q} u."""
+    out = BundleForm.zero(u.chart, u.rank)
+    for p, q, piece in _bundle_bidegree_parts(u):
+        out = out + bidegree_split(conn.apply(piece), p + dp, q + dq)
+    return out
+
+
 def connection_split(conn: Connection):
     """nabla = nabla10 + nabla01 - i_theta - i_thetabar, returned as four operators.
 
@@ -185,48 +209,24 @@ def connection_split(conn: Connection):
     interior terms use the chart's frame-computed torsion form, so the
     splitting identity is a genuine cross-check between the two routes.
     """
-    if conn._split is not None:
-        return conn._split
-    chart = conn.chart
-
-    def shifted(dp: int, dq: int) -> Callable[[BundleForm], BundleForm]:
-        """u -> sum over (p, q) pieces of Pi^{p+dp,q+dq} nabla Pi^{p,q} u."""
-
-        def act(u: BundleForm) -> BundleForm:
-            out = BundleForm.zero(u.chart, u.rank)
-            for p, q, piece in _bundle_bidegree_parts(u):
-                image = conn.apply(piece)
-                out = out + bidegree_split(image, p + dp, q + dq)
-            return out
-
-        return act
-
-    theta = chart.torsion()
-    split = (
-        DerivationOp(1, shifted(1, 0), "∇¹⁰"),
-        DerivationOp(1, shifted(0, 1), "∇⁰¹"),
+    theta = conn.chart.torsion()
+    return (
+        DerivationOp(1, partial(_shifted, conn, 1, 0), "∇¹⁰"),
+        DerivationOp(1, partial(_shifted, conn, 0, 1), "∇⁰¹"),
         interior_op(theta),
         interior_op(conjugate_form(theta)),
     )
-    conn._split = split
-    return split
 
 
 def lie_derivative(K: VectorForm, conn: Connection, flavor: str = "full") -> DerivationOp:
     """[i_K, nabla] and its (1,0)/(0,1) flavors [i_K, nabla10], [i_K, nabla01]."""
     if flavor == "full":
         base = nabla(conn)
-        tag = "𝓛"
-    elif flavor == "1,0":
-        base = connection_split(conn)[0]
-        tag = "𝓛¹⁰"
-    elif flavor == "0,1":
-        base = connection_split(conn)[1]
-        tag = "𝓛⁰¹"
+    elif flavor in ("1,0", "0,1"):
+        base = connection_split(conn)[flavor == "0,1"]
     else:
         raise ValueError(f"unknown Lie derivative flavor {flavor!r}")
-    out = graded_commutator(interior_op(K), base)
-    return DerivationOp(out.degree, out.action, f"{tag}_[{K.degree}-form]")
+    return graded_commutator(interior_op(K), base)
 
 
 def series(x, step, count: int, shift: int = 0):
@@ -279,34 +279,34 @@ def exp_interior(phi: VectorForm) -> Tuple[DerivationOp, DerivationOp]:
     zero = PolyScalar.zero(chart.dim)
     Phi = AlgebraElement([[comp.terms.get((b,), zero) for b in range(chart.dim)] for comp in phi.comps])
 
-    def exp_op(mat: AlgebraElement, tag: str) -> DerivationOp:
-        table = pullback_table(chart, mat)
+    plus = pullback_table(chart, matrix_exp_nilpotent(Phi))
+    minus = pullback_table(chart, matrix_exp_nilpotent(-Phi))
+    return (
+        DerivationOp(0, partial(_pullback, chart, plus), "e^{i_φ}"),
+        DerivationOp(0, partial(_pullback, chart, minus), "e^{-i_φ}"),
+    )
 
-        def act(u: BundleForm) -> BundleForm:
-            if u.chart is not chart:
-                raise ValueError("forms live on different charts")
-            return BundleForm(u.chart, [_substitute(c, table) for c in u.comps])
 
-        return DerivationOp(0, act, tag)
-
-    return exp_op(matrix_exp_nilpotent(Phi), "e^{i_φ}"), exp_op(matrix_exp_nilpotent(-Phi), "e^{-i_φ}")
+def _pullback(chart: Chart, table, u: BundleForm) -> BundleForm:
+    """u pulled back by the substitution table on chart (forms.pullback_table)."""
+    if u.chart is not chart:
+        raise ValueError("forms live on different charts")
+    return BundleForm(u.chart, [_substitute(c, table) for c in u.comps])
 
 
 def conjugate_operator(op: DerivationOp, phi: VectorForm) -> DerivationOp:
-    """e^{-i_phi} ∘ D ∘ e^{i_phi}, by the exact exponentials, for a D acting in phi's basis.
+    """e^{-i_phi} ∘ D ∘ e^{i_phi}, one composition of the exact exponentials, for a D
+    acting in phi's basis.
 
     The exponentials run in the frame of phi's chart (forms.to_frame).  Where
-    phi is written in coordinates, each input moves in for e^{i_phi} and out
-    for D, and D's image moves in for e^{-i_phi} and out again.
+    phi is written in coordinates, to_frame and from_frame sit around each
+    exponential, so D and the result act on coordinate forms.
     """
     exp_plus, exp_minus = exp_interior(to_frame(phi))
-    out = from_frame if phi.chart is phi.chart.base else (lambda form: form)
-
-    def act(u: BundleForm) -> BundleForm:
-        inner = out(exp_plus.action(to_frame(u)))
-        return out(exp_minus.action(to_frame(op.action(inner))))
-
-    return DerivationOp(op.degree, act, f"{exp_minus.tag}∘{op.tag}∘{exp_plus.tag}")
+    if phi.chart is not phi.chart.base:
+        return DerivationOp(op.degree, terms=((1, (exp_minus, op, exp_plus)),))
+    into, out = DerivationOp(0, to_frame, "to_frame"), DerivationOp(0, from_frame, "from_frame")
+    return DerivationOp(op.degree, terms=((1, (out, exp_minus, into, op, out, exp_plus, into)),))
 
 
 # -- generator family and extensional residuals ---------------------------------
@@ -359,7 +359,7 @@ def operator_residuals(
     """
     out = []
     for member, u in family:
-        res = lhs.action(u) - rhs.action(u)
+        res = lhs(u) - rhs(u)
         if not res.is_zero():
             out.append((member, from_frame(res)))
     return out
@@ -396,24 +396,25 @@ def conjugation_residuals(
     it is the brute-force oracle the bracket formulas are compared against.
     Per member it applies e^{i_phi} once, each D once, e^{-i_phi} once per distinct D
     image (exactly equal images share it) in the first group that needs it,
-    and each distinct R once; every value is dropped after the last group that
-    needs it.  Residuals come in family order.
+    and each distinct R once (equal as data: the same terms over the same
+    primitives); every value is dropped after the last group that needs it.
+    Residuals come in family order.
     """
     exp_plus, exp_minus = exp_interior(to_frame(phi))
     rhs_ops, rhs_slot = _distinct(R for _, _, R in groups)
     out = [(label, []) for label, _, _ in groups]
     for member, u in family:
         u = to_frame(u)
-        inner = exp_plus.action(u)
-        lhs, lhs_slot = _distinct(D.action(inner) for _, D, _ in groups)
+        inner = exp_plus(u)
+        lhs, lhs_slot = _distinct(D(inner) for _, D, _ in groups)
         del inner
         rhs: list = [None] * len(rhs_ops)
         for g, (_, bad) in enumerate(out):
             k, h = lhs_slot[g], rhs_slot[g]
             if lhs_slot.index(k) == g:
-                lhs[k] = exp_minus.action(lhs[k])  # the image gives way to its conjugate
+                lhs[k] = exp_minus(lhs[k])  # the image gives way to its conjugate
             if rhs_slot.index(h) == g:
-                rhs[h] = rhs_ops[h].action(u)
+                rhs[h] = rhs_ops[h](u)
             res = lhs[k] - rhs[h]
             if k not in lhs_slot[g + 1:]:
                 lhs[k] = None
@@ -439,12 +440,12 @@ def _extract_vector_from_function_action(
     """
     chart = conn.chart
     s1 = BundleForm.section(chart, conn.rank, 0)
-    d_s1 = op.action(s1)
+    d_s1 = op(s1)
     comps = []
     for a in range(chart.dim):
         xa = PolyScalar.variable(a, chart.dim)
         xa_s1 = BundleForm.from_scalar(ScalarForm.function(chart, xa), conn.rank, 0)
-        diff = op.action(xa_s1) - _mul_bundle_poly(d_s1, xa)
+        diff = op(xa_s1) - _mul_bundle_poly(d_s1, xa)
         comps.append(diff.comps[0])
     if chart.base is not chart:
         comps = _matrix_times(chart, chart.base.frame[1], comps)
@@ -452,7 +453,7 @@ def _extract_vector_from_function_action(
         return VectorForm(chart, degree, comps)
     except ValueError as exc:
         raise DecompositionError(
-            f"function action of {op.tag} is not that of a degree-{degree} derivation: {exc}"
+            f"function action of {op} is not that of a degree-{degree} derivation: {exc}"
         ) from exc
 
 
@@ -468,12 +469,12 @@ def _extract_vector_from_covector_action(
     comps = []
     for a in range(chart.dim):
         dxa = BundleForm.from_scalar(ScalarForm.basis_covector(chart, a), conn.rank, 0)
-        comps.append(op.action(dxa).comps[0])
+        comps.append(op(dxa).comps[0])
     try:
         return VectorForm(chart, degree, comps)
     except ValueError as exc:
         raise DecompositionError(
-            f"covector action of {op.tag} is not that of an algebraic degree-{degree - 1} derivation: {exc}"
+            f"covector action of {op} is not that of an algebraic degree-{degree - 1} derivation: {exc}"
         ) from exc
 
 
@@ -489,7 +490,7 @@ def _require_reassembly(op: DerivationOp, rebuilt: DerivationOp, conn: Connectio
     bad = operator_residuals(op, rebuilt, family)
     if bad:
         label, res = bad[0]
-        raise DecompositionError(f"{what} misses {op.tag} on {label}: {res}")
+        raise DecompositionError(f"{what} misses {op} on {label}: {res}")
 
 
 def decompose_derivation(

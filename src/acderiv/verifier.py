@@ -102,9 +102,13 @@ class IdentityReport:
 
 @cache
 def parse_chart_name(name: str) -> Chart:
-    """standard:n or twisted:n, built once per name: a chart's only mutable state is its memos."""
+    """standard:n or twisted:n, built once per name: a chart's only mutable state is its memos.
+
+    n is written as str(n) prints it, so no alias ("standard:01", a non-ASCII
+    digit) builds a second chart or reaches a report.
+    """
     kind, _, dim = name.partition(":")
-    if not dim or not dim.lstrip("-").isdigit():
+    if not dim.isascii() or not dim.removeprefix("-").isdigit() or dim != str(int(dim)):
         raise ValueError(f"malformed chart name {name!r}; expected standard:n or twisted:n")
     n = int(dim)
     if n < 1:
@@ -317,7 +321,7 @@ def _check_L372(ctx: _CheckContext):
     conn, phi, psi = ctx.frame_inputs("phi", "psi")
     fam = ctx.frame_family()
     lhs = graded_commutator(lie_derivative(phi, conn, "0,1"), interior_op(psi))
-    zero = DerivationOp(lhs.degree, lambda u: BundleForm.zero(u.chart, u.rank), "0")
+    zero = DerivationOp(lhs.degree)
     return [("commutator", operator_residuals(lhs, zero, fam))]
 
 
@@ -419,7 +423,7 @@ def _check_R310(ctx: _CheckContext):
     comps = [ScalarForm.zero(chart) for _ in range(chart.dim)]
     for j in range(chart.n):
         hol = phi.comps[2 * j] + phi.comps[2 * j + 1].scale(GaussRational(0, 1))
-        dbar_hol = n01.action(BundleForm.from_scalar(hol, 1, 0)).comps[0]
+        dbar_hol = n01(BundleForm.from_scalar(hol, 1, 0)).comps[0]
         comps[2 * j] = comps[2 * j] + dbar_hol.scale(half)
         comps[2 * j + 1] = comps[2 * j + 1] + dbar_hol.scale(minus_half_i)
     dbar_phi = VectorForm(chart, 2, comps)

@@ -66,6 +66,7 @@ def test_usage_error_on_bad_chart():
     assert run_cli(["--chart", "standard:0"]) == cli.USAGE_ERROR
     assert run_cli(["--chart", "twisted:1"]) == cli.USAGE_ERROR
     assert run_cli(["--chart", "nonsense"]) == cli.USAGE_ERROR
+    assert run_cli(["--chart", "standard:01"]) == cli.USAGE_ERROR  # an alias of standard:1
 
 
 def test_usage_error_on_unknown_id():

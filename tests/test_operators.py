@@ -45,10 +45,12 @@ from acderiv.forms import (
 from acderiv import operators
 from acderiv.operators import (
     DecompositionError,
+    DerivationOp,
     NotNilpotentError,
     conjugate_by_exponential,
     conjugation_residuals,
     generator_family,
+    identity_op,
     interior_op,
     matrix_exp_nilpotent,
     nilpotency_index,
@@ -206,6 +208,123 @@ def test_graded_jacobi_spot(twisted2):
     mid = graded_commutator(graded_commutator(a, b), c)
     rhs = graded_commutator(b, graded_commutator(a, c)).scale((-1) ** (ka * kb))
     assert ops_equal(lhs, mid + rhs, twisted2, 1)
+
+
+# -- operators as data ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("kdeg", [1, 2])
+def test_lie_derivative_is_the_signed_commutator_data(twisted2, kdeg):
+    conn = random_connection(twisted2, 2, 1, f"data-conn-{kdeg}")
+    K = random_vector_form(twisted2, kdeg, 1, f"data-K-{kdeg}")
+    lie = lie_derivative(K, conn)
+    assert lie.action is None and lie.degree == kdeg
+    i_K = lie.terms[0][1][0]
+    assert i_K.action.func is interior and i_K.action.args == (K,)
+    assert interior_op(K).action.args == (K,)
+    # [i_K, nabla] = i_K nabla - (-1)^{(k-1) 1} nabla i_K
+    sign = (-1) ** (kdeg - 1)
+    assert lie.terms == ((1, (i_K, nabla(conn))), (-sign, (nabla(conn), i_K)))
+
+
+def test_conjugate_operator_is_one_composition(monkeypatch, twisted2):
+    made = []
+    real = operators.exp_interior
+    monkeypatch.setattr(operators, "exp_interior", lambda form: made.append(real(form)) or made[-1])
+    D = nabla(random_connection(twisted2, 2, 1, "conj-data-conn").to_frame())
+    phi = random_form(twisted2, (0, 1), "1,0", 1, "conj-data-phi")
+    op = conjugate_operator(D, to_frame(phi))
+    [(e_plus, e_minus)] = made
+    assert op.action is None and op.degree == 1
+    assert op.terms == ((1, (e_minus, D, e_plus)),)
+    # a coordinate phi moves each exponential's input into the frame and its image out
+    assert str(conjugate_operator(nabla(Connection.trivial(twisted2, 1)), phi)) == (
+        "from_frame∘e^{-i_φ}∘to_frame∘∇∘from_frame∘e^{i_φ}∘to_frame"
+    )
+
+
+def test_operator_display_is_derived_from_the_terms():
+    conn, phi, _, _ = t38_inputs("T3.8.1", "twisted:2", rank=1, degree=1)
+    assert str(t381_rhs(conn, phi)) == "∇ - i_[1-form]∘∇ + ∇∘i_[1-form] - i_[2-form]"
+    nab = nabla(conn)
+    half = nab.scale(Fraction(1, 2))
+    assert str(half + half) == "(1/2)·∇ + (1/2)·∇"
+    assert str(-(nab - half)) == "-∇ + (1/2)·∇"
+    assert str(graded_commutator(nab, nab + nab)) == "∇∘(∇ + ∇) + (∇ + ∇)∘∇"
+    assert (str(identity_op()), str(DerivationOp(2))) == ("id", "0")
+
+
+def test_zero_identity_and_scaled_sums_apply(twisted2):
+    conn = random_connection(twisted2, 2, 1, "apply-conn")
+    nab = nabla(conn)
+    u = random_bundle_form(twisted2, 2, 1, 1, "apply-u")
+    image = DerivationOp(2)(u)
+    assert image.is_zero() and (image.chart, image.rank) == (twisted2, 2)
+    assert identity_op()(u) is u
+    half = nab.scale(Fraction(1, 2))
+    assert (half + half)(u) == nab(u)
+    assert (-(nab - half))(u) == nab(u).scale(Fraction(-1, 2))
+    assert (identity_op() - identity_op().scale(3))(u) == u.scale(-2)
+
+
+def test_operators_of_different_degrees_do_not_add(twisted2):
+    conn = random_connection(twisted2, 2, 1, "deg-mix-conn")
+    K = random_vector_form(twisted2, 1, 1, "deg-mix-K")
+    for combine in (lambda a, b: a + b, lambda a, b: a - b):
+        with pytest.raises(ValueError):
+            combine(nabla(conn), interior_op(K))
+        with pytest.raises(ValueError):
+            combine(lie_derivative(K, conn), identity_op())
+
+
+# -- graded Leibniz rule ------------------------------------------------------------
+
+
+def _wedge_bundle(alpha, u):
+    return BundleForm(u.chart, [alpha.wedge(c) for c in u.comps])
+
+
+def _in(basis, form):
+    return to_frame(form) if basis == "frame" else form
+
+
+@pytest.mark.parametrize("basis", ["coordinates", "frame"])
+@pytest.mark.parametrize("chart_name", ["standard:2", "twisted:2"])
+def test_split_and_lie_derivatives_are_graded_derivations(chart_name, basis):
+    # D(alpha ∧ u) = D0(alpha) ∧ u + (-1)^{k |alpha|} alpha ∧ D(u), D0 the same operator
+    # on the trivial line bundle
+    rng = random.Random(f"leibniz-{chart_name}")
+    chart = parse_chart_name(chart_name)
+    conn = random_connection(chart, 2, 1, rng)
+    conn = conn.to_frame() if basis == "frame" else conn
+    K = _in(basis, random_vector_form(chart, 1, 1, rng))
+    u = _in(basis, random_bundle_form(chart, 2, 1, 1, rng))
+
+    def derivations(conn):
+        n10, n01, _, _ = connection_split(conn)
+        return [n10, n01] + [lie_derivative(K, conn, flavor) for flavor in ("full", "1,0", "0,1")]
+
+    for adeg in (1, 2):
+        alpha = _in(basis, random_scalar_form(chart, adeg, 1, rng))
+        for D, D0 in zip(derivations(conn), derivations(Connection.trivial(conn.chart, 1))):
+            d_alpha = D0(BundleForm.from_scalar(alpha, 1)).comps[0]
+            sign = (-1) ** (D.degree * adeg)
+            expected = _wedge_bundle(d_alpha, u) + _wedge_bundle(alpha, D(u)).scale(sign)
+            assert D(_wedge_bundle(alpha, u)) == expected, str(D)
+
+
+@pytest.mark.parametrize("basis", ["coordinates", "frame"])
+@pytest.mark.parametrize("chart_name", ["standard:2", "twisted:2"])
+def test_exponentials_are_algebra_automorphisms(chart_name, basis):
+    rng = random.Random(f"exp-automorphism-{chart_name}")
+    chart = parse_chart_name(chart_name)
+    phi = _in(basis, random_form(chart, (0, 1), "1,0", 1, rng))
+    u = _in(basis, random_bundle_form(chart, 2, 1, 1, rng))
+    for adeg in (1, 2):
+        alpha = _in(basis, random_scalar_form(chart, adeg, 1, rng))
+        for exp in exp_interior(phi):
+            e_alpha = exp(BundleForm.from_scalar(alpha, 1)).comps[0]
+            assert exp(_wedge_bundle(alpha, u)) == _wedge_bundle(e_alpha, exp(u)), str(exp)
 
 
 # -- Lie derivatives -------------------------------------------------------------------
@@ -482,7 +601,7 @@ def test_conjugation_residuals_match_per_group_residuals():
     applied = []
 
     def shared(op):
-        return dataclasses.replace(op, action=lambda u: applied.append(u) or op.action(u))
+        return dataclasses.replace(op, action=lambda u: applied.append(u) or op(u))
 
     got = conjugation_residuals(phi, groups(conn.to_frame(), to_frame(phi), shared), fam)
     assert len(applied) == len(fam), "a shared operator runs once per member"

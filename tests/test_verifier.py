@@ -64,7 +64,7 @@ def test_unknown_id_raises():
 
 
 def test_parse_chart_name_errors():
-    for bad in ("standard", "standard:x", "standard:0", "mystery:2"):
+    for bad in ("standard", "standard:x", "standard:0", "mystery:2", "standard:01", "twisted:02", "twisted:２"):
         for _ in range(2):  # a failed parse is not cached
             with pytest.raises(ValueError):
                 parse_chart_name(bad)
