@@ -135,7 +135,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         seed = values["seed"]
         if isinstance(seed, bool) or not isinstance(seed, (int, str)):
             raise ConfigError(f"seed must be an integer or a string, got {seed!r}")
-        config.seed = int(seed) if isinstance(seed, str) and seed.lstrip("-").isdigit() else seed
+        digits = isinstance(seed, str) and seed.isascii() and seed.removeprefix("-").isdigit()
+        config.seed = int(seed) if digits else seed
     if "ids" in values:
         config.ids = _parse_ids(values["ids"])
     if "out" in values and values["out"] is not None:

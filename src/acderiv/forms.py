@@ -484,7 +484,7 @@ def iterated_nr_bracket(K: VectorForm, L: VectorForm, count: int) -> VectorForm:
 
 
 def _lie_scalar(K: VectorForm, alpha: ScalarForm) -> ScalarForm:
-    """Scalar Lie derivative [i_K, d] alpha, used for bracket extraction."""
+    """The scalar Lie derivative L_K alpha = [i_K, d] alpha."""
     k = K.degree - 1
     first = interior(K, exterior_d(alpha))
     second = exterior_d(interior(K, alpha))
@@ -494,13 +494,13 @@ def _lie_scalar(K: VectorForm, alpha: ScalarForm) -> ScalarForm:
 
 
 def fn_bracket(K: VectorForm, L: VectorForm) -> VectorForm:
-    """Froelicher-Nijenhuis bracket, extracted from the commutator of Lie derivatives.
+    """Froelicher-Nijenhuis bracket from its component formula.
 
-    [L_K, L_L] is again a Lie-type derivation, hence equals L_M for a unique
-    vector form M; applying it to the coordinate functions reads off the
-    components of M directly (L_M x^a = M^a).  For vector fields this is the
-    classical Lie bracket.  Forms written in the frame are bracketed in
-    coordinates, where the components are read off, and the result moves in.
+    In a coordinate frame [K, L]^a = L_K L^a - (-1)^{kl} L_L K^a for a k-form K
+    and an l-form L (Kolar-Michor-Slovak, Natural Operations in Differential
+    Geometry, section 8), with L_K the scalar Lie derivative _lie_scalar; for
+    vector fields this is the classical Lie bracket.  Forms written in the
+    frame are bracketed in coordinates and the result moves in.
     """
     if K.chart is not L.chart:
         raise ValueError("forms live on different charts")
@@ -508,12 +508,10 @@ def fn_bracket(K: VectorForm, L: VectorForm) -> VectorForm:
     if chart.base is not chart:
         return to_frame(fn_bracket(from_frame(K), from_frame(L)))
     sign = 1 if (K.degree * L.degree) % 2 == 0 else -1
-    comps = []
-    for axis in range(chart.dim):
-        xa = ScalarForm.coordinate_function(chart, axis)
-        first = _lie_scalar(K, _lie_scalar(L, xa))
-        second = _lie_scalar(L, _lie_scalar(K, xa))
-        comps.append(first - second.scale(sign))
+    comps = [
+        _lie_scalar(K, la) - _lie_scalar(L, ka).scale(sign)
+        for ka, la in zip(K.comps, L.comps)
+    ]
     return VectorForm(chart, K.degree + L.degree, comps)
 
 

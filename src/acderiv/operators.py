@@ -202,31 +202,37 @@ def _shifted(conn: Connection, dp: int, dq: int, u: BundleForm) -> BundleForm:
     return out
 
 
-def connection_split(conn: Connection):
-    """nabla = nabla10 + nabla01 - i_theta - i_thetabar, returned as four operators.
+def nabla10(conn: Connection) -> DerivationOp:
+    """nabla10 = sum Pi^{p+1,q} nabla Pi^{p,q}, the (1,0) part of nabla."""
+    return DerivationOp(1, partial(_shifted, conn, 1, 0), "∇¹⁰")
 
-    nabla10 = sum Pi^{p+1,q} nabla Pi^{p,q} and likewise nabla01; the torsion
-    interior terms use the chart's frame-computed torsion form, so the
-    splitting identity is a genuine cross-check between the two routes.
+
+def nabla01(conn: Connection) -> DerivationOp:
+    """nabla01 = sum Pi^{p,q+1} nabla Pi^{p,q}, the (0,1) part of nabla."""
+    return DerivationOp(1, partial(_shifted, conn, 0, 1), "∇⁰¹")
+
+
+def connection_split(conn: Connection):
+    """nabla = nabla10 + nabla01 - i_theta - i_thetabar (Example 3.1), as four operators.
+
+    The torsion interior terms use the chart's frame-computed torsion form, so
+    the splitting identity is a genuine cross-check between the two routes.
     """
     theta = conn.chart.torsion()
-    return (
-        DerivationOp(1, partial(_shifted, conn, 1, 0), "∇¹⁰"),
-        DerivationOp(1, partial(_shifted, conn, 0, 1), "∇⁰¹"),
-        interior_op(theta),
-        interior_op(conjugate_form(theta)),
-    )
+    return nabla10(conn), nabla01(conn), interior_op(theta), interior_op(conjugate_form(theta))
+
+
+_LIE_BASES = {"full": nabla, "1,0": nabla10, "0,1": nabla01}
 
 
 def lie_derivative(K: VectorForm, conn: Connection, flavor: str = "full") -> DerivationOp:
-    """[i_K, nabla] and its (1,0)/(0,1) flavors [i_K, nabla10], [i_K, nabla01]."""
-    if flavor == "full":
-        base = nabla(conn)
-    elif flavor in ("1,0", "0,1"):
-        base = connection_split(conn)[flavor == "0,1"]
-    else:
+    """[i_K, nabla] and its (1,0)/(0,1) flavors [i_K, nabla10], [i_K, nabla01].
+
+    Each flavor builds only its own part of nabla.
+    """
+    if flavor not in _LIE_BASES:
         raise ValueError(f"unknown Lie derivative flavor {flavor!r}")
-    return graded_commutator(interior_op(K), base)
+    return graded_commutator(interior_op(K), _LIE_BASES[flavor](conn))
 
 
 def series(x, step, count: int, shift: int = 0):

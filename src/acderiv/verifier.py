@@ -19,11 +19,9 @@ from fractions import Fraction
 from functools import cache
 from typing import Callable, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
-from .algebra import GaussRational
 from .chart import Chart, _standard_J, builtin_twisted_chart, make_standard_chart
 from .forms import (
     BundleForm,
-    ScalarForm,
     VectorForm,
     bidegree_split,
     conjugate_form,
@@ -55,6 +53,8 @@ from .operators import (
     lie_derivative,
     matrix_exp_nilpotent,
     nabla,
+    nabla01,
+    nabla10,
     operator_residuals,
     random_connection,
     random_matrix,
@@ -222,8 +222,8 @@ def _closed_form_5(phi: VectorForm, psibar: VectorForm) -> Tuple[VectorForm, Vec
 # conjugation_residuals runs: their inputs come from _CheckContext.frame_inputs
 # and frame_family, the closed forms work in the basis they are given, and only
 # nonzero residuals move out.  EQ2.4 and R3.10 stay in coordinates: EQ2.4's
-# generic K and L become dense complex forms in the frame, and R3.10 builds
-# dbar from the holomorphic coordinates.
+# generic K and L become dense complex forms in the frame, and on R3.10's
+# chart J = J0 is constant, so dbar acts on the coordinate components.
 
 
 class CheckSkipped(Exception):
@@ -241,7 +241,7 @@ def _check_T381(ctx: _CheckContext, corrupt: bool = False):
 def _check_T382(ctx: _CheckContext):
     conn, phi = ctx.frame_inputs("phi")
     fam = ctx.family()
-    n10, n01, _, _ = connection_split(conn)
+    n10, n01 = nabla10(conn), nabla01(conn)
     ff_0210 = bidegree_split(fn_bracket(phi, phi), 0, 2, "1,0")
     rhs10 = n10 - lie_derivative(phi, conn, "1,0") - interior_op(ff_0210.scale(Fraction(1, 2)))
     rhs01 = n01 - lie_derivative(phi, conn, "0,1")
@@ -346,9 +346,8 @@ def _check_EX31(ctx: _CheckContext):
     res_scalar = operator_residuals(d_op, n10 + n01 - ith - ithb, fam1)
     # bundle version with the seeded connection
     (conn,) = ctx.frame_inputs()
-    m10, m01, mth, mthb = connection_split(conn)
     fam = ctx.frame_family()
-    res_bundle = operator_residuals(nabla(conn), m10 + m01 - mth - mthb, fam)
+    res_bundle = operator_residuals(nabla(conn), nabla10(conn) + nabla01(conn) - ith - ithb, fam)
     # cross-validation: torsion extracted from the d-splitting equals the
     # frame-computed torsion form
     remainder = n10 + n01 - d_op  # algebraic, equals i_theta + i_thetabar
@@ -416,17 +415,10 @@ def _check_R310(ctx: _CheckContext):
     conn = Connection.trivial(chart, 1)
     fam = ctx.family(rank=1)
     lhs = lie_derivative(phi, conn, "0,1")
-    # dbar phi in the holomorphic coordinate frame z^j = x_{2j-1} + i x_{2j}
-    n10, n01, _, _ = connection_split(conn)
-    half = GaussRational(Fraction(1, 2))
-    minus_half_i = GaussRational(0, Fraction(-1, 2))
-    comps = [ScalarForm.zero(chart) for _ in range(chart.dim)]
-    for j in range(chart.n):
-        hol = phi.comps[2 * j] + phi.comps[2 * j + 1].scale(GaussRational(0, 1))
-        dbar_hol = n01(BundleForm.from_scalar(hol, 1, 0)).comps[0]
-        comps[2 * j] = comps[2 * j] + dbar_hol.scale(half)
-        comps[2 * j + 1] = comps[2 * j + 1] + dbar_hol.scale(minus_half_i)
-    dbar_phi = VectorForm(chart, 2, comps)
+    # J = J0 is constant, so the coordinate fields are holomorphic and dbar
+    # acts on the T^{1,0}-valued phi through its coordinate components
+    n01 = nabla01(conn)
+    dbar_phi = VectorForm(chart, 2, [n01(BundleForm.from_scalar(c, 1, 0)).comps[0] for c in phi.comps])
     rhs = -interior_op(dbar_phi)
     return [("algebraic-identification", operator_residuals(lhs, rhs, fam))]
 
@@ -469,10 +461,9 @@ def _check_P312(ctx: _CheckContext):
 def _check_P33(ctx: _CheckContext):
     conn, phi = ctx.frame_inputs("phi")
     scalar_conn = Connection.trivial(ctx.chart.framed, 1)
-    n10, n01, _, _ = connection_split(scalar_conn)
     cases = [
-        ("del", n10, scalar_conn),
-        ("delbar", n01, scalar_conn),
+        ("del", nabla10(scalar_conn), scalar_conn),
+        ("delbar", nabla01(scalar_conn), scalar_conn),
         ("lie-(1,0)", lie_derivative(phi, conn, "1,0"), conn),
         ("lie-full", lie_derivative(phi, conn), conn),
     ]

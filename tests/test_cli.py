@@ -133,12 +133,23 @@ def test_config_file_values_of_the_wrong_type_are_rejected(tmp_path, monkeypatch
     assert [path.name for path in tmp_path.iterdir()] == ["typed.json"]
 
 
-@pytest.mark.parametrize("value, seed", [("alpha", "alpha"), ("12", 12), (-3, -3)])
+@pytest.mark.parametrize(
+    "value, seed", [("alpha", "alpha"), ("12", 12), (-3, -3), ("--5", "--5"), ("²", "²")]
+)
 def test_config_file_seed_may_be_an_integer_or_a_string(tmp_path, value, seed):
     config = tmp_path / "seeded.json"
     config.write_text(json.dumps({"seed": value}))
     args = cli._build_parser().parse_args(["--config", str(config)])
     assert cli.build_config(args).seed == seed
+
+
+@pytest.mark.parametrize("seed", ["--5", "²", "٧"])
+def test_a_seed_that_is_not_ascii_digits_is_a_string_seed(tmp_path, seed):
+    # only an optional "-" and ASCII digits make an integer seed; "٧" is not 7
+    out = tmp_path / "r.json"
+    args = ["--chart", "standard:1", "--ids", "EQ2.3", f"--seed={seed}", "--out", str(out)]
+    assert run_cli(args) == 0
+    assert json.loads(out.read_text())["config"]["seed"] == seed
 
 
 def test_exit_code_one_on_failure(monkeypatch, tmp_path):

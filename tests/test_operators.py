@@ -62,6 +62,7 @@ from acderiv.operators import (
     vanishing_order,
 )
 from acderiv.algebra import GaussRational, PolyScalar
+from acderiv.chart import Chart
 from acderiv.verifier import (
     IdentityCheck,
     _CheckContext,
@@ -225,6 +226,23 @@ def test_lie_derivative_is_the_signed_commutator_data(twisted2, kdeg):
     # [i_K, nabla] = i_K nabla - (-1)^{(k-1) 1} nabla i_K
     sign = (-1) ** (kdeg - 1)
     assert lie.terms == ((1, (i_K, nabla(conn))), (-sign, (nabla(conn), i_K)))
+
+
+@pytest.mark.parametrize("flavor, shift", [("1,0", (1, 0)), ("0,1", (0, 1))])
+def test_lie_flavors_build_only_their_part_of_nabla(monkeypatch, twisted2, flavor, shift):
+    def untouchable(*args):
+        raise AssertionError("a Lie flavor built the torsion terms of the split")
+
+    monkeypatch.setattr(Chart, "torsion", untouchable)
+    monkeypatch.setattr(operators, "conjugate_form", untouchable)
+    conn = random_connection(twisted2, 2, 1, "flavor-data-conn").to_frame()
+    K = to_frame(random_vector_form(twisted2, 1, 1, "flavor-data-K"))
+    lie = lie_derivative(K, conn, flavor)
+    assert lie.action is None and lie.degree == 1
+    i_K, base = lie.terms[0][1]
+    assert lie.terms == ((1, (i_K, base)), (-1, (base, i_K)))
+    assert i_K.action.func is interior and i_K.action.args == (K,)
+    assert base.action.func is operators._shifted and base.action.args == (conn, *shift)
 
 
 def test_conjugate_operator_is_one_composition(monkeypatch, twisted2):

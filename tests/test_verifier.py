@@ -17,7 +17,7 @@ from acderiv import (
     nr_bracket,
     random_form,
 )
-from acderiv import forms
+from acderiv import forms, operators
 from acderiv.forms import BundleForm, from_frame, to_frame
 from acderiv.operators import (
     conjugate_operator,
@@ -118,6 +118,17 @@ def test_r310_decides_by_J_not_by_chart_name():
     groups = _check_R310(ctx)
     assert [label for label, _ in groups] == ["algebraic-identification"]
     assert all(not residuals for _, residuals in groups)
+
+
+@pytest.mark.parametrize("chart", ["standard:1", "standard:2"])
+def test_r310_fails_when_its_dbar_is_del(monkeypatch, chart):
+    # dbar phi is read off componentwise; putting del in its place on the
+    # right-hand side only must not pass
+    assert check_identity(IdentityCheck(id="R3.10", chart=chart, seed=7)).status == "pass"
+    monkeypatch.setattr(verifier, "nabla01", operators.nabla10)
+    report = check_identity(IdentityCheck(id="R3.10", chart=chart, seed=7))
+    assert report.status == "fail", report.reason
+    assert report.worst_generator.startswith("algebraic-identification/")
 
 
 def test_negative_control_detects_corruption_on_twisted():
