@@ -10,6 +10,7 @@ J*J = -I exact while making the structure non-integrable.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from typing import List, Sequence
 
 from .algebra import GR_HALF, AlgebraElement, GaussRational, PolyScalar, ProductSum
@@ -65,6 +66,26 @@ class Chart:
             half_iJ = self.J.scale(GaussRational(0, Fraction(1, 2)))
             self._projectors = {"1,0": half - half_iJ, "0,1": half + half_iJ}
         return self._projectors[side]
+
+    @cached_property
+    def holomorphic_axes(self) -> frozenset | None:
+        """The axes b with J[b][b] = i where J is diagonal with constant entries i and -i, else None.
+
+        There theta^b (dx^b on a chart without a frame) is of type (1,0) for b
+        in the set and (0,1) for the others, so the bidegree of theta^I is
+        read off I.  This holds on framed of every builtin chart.
+        """
+        i = PolyScalar.constant(GaussRational(0, 1), self.dim)
+        axes = set()
+        for a, row in enumerate(self.J.entries):
+            for b, entry in enumerate(row):
+                if a != b and entry:
+                    return None
+            if row[a] == i:
+                axes.add(a)
+            elif row[a] != -i:
+                return None
+        return frozenset(axes)
 
     @property
     def framed(self) -> "Chart":

@@ -75,6 +75,15 @@ def _accumulate(out: dict, items) -> dict:
     return out
 
 
+def _wedge_terms(alpha: "ScalarForm", beta: "ScalarForm"):
+    """The _accumulate items of alpha wedge beta."""
+    for key_a, fa in alpha.terms.items():
+        for key_b, fb in beta.terms.items():
+            key, sign = _merge_sign(key_a, key_b)
+            if key is not None:
+                yield key, sign, fa, fb
+
+
 class ScalarForm:
     """A complexified form: map from strictly increasing index tuples to PolyScalar.
 
@@ -181,24 +190,10 @@ class ScalarForm:
 
     def wedge(self, other: "ScalarForm") -> "ScalarForm":
         self._check_chart(other)
-        pairs = (
-            (_merge_sign(key_a, key_b), fa, fb)
-            for key_a, fa in self.terms.items()
-            for key_b, fb in other.terms.items()
-        )
-        items = ((key, sign, fa, fb) for (key, sign), fa, fb in pairs if key is not None)
-        return ScalarForm(self.chart, _accumulate({}, items))
+        return ScalarForm(self.chart, _accumulate({}, _wedge_terms(self, other)))
 
     def exterior_d(self) -> "ScalarForm":
-        if self.chart.base is not self.chart:
-            return _frame_d(self)
-        items = (
-            (*_merge_sign((axis,), key), f.partial_derivative(axis), None)
-            for key, f in self.terms.items()
-            for axis in range(self.chart.dim)
-            if axis not in key
-        )
-        return ScalarForm(self.chart, _accumulate({}, items))
+        return ScalarForm(self.chart, _accumulate({}, _exterior_d_terms(self)))
 
     # -- comparison and display ---------------------------------------------
 
@@ -499,15 +494,21 @@ def fn_bracket(K: VectorForm, L: VectorForm) -> VectorForm:
     In a coordinate frame [K, L]^a = L_K L^a - (-1)^{kl} L_L K^a for a k-form K
     and an l-form L (Kolar-Michor-Slovak, Natural Operations in Differential
     Geometry, section 8), with L_K the scalar Lie derivative _lie_scalar; for
-    vector fields this is the classical Lie bracket.  Forms written in the
-    frame are bracketed in coordinates and the result moves in.
+    vector fields this is the classical Lie bracket.  [K, K]^a = (1 - (-1)^k)
+    L_K K^a takes one _lie_scalar per component, and none for even k.  Forms
+    written in the frame are bracketed in coordinates and the result moves in.
     """
     if K.chart is not L.chart:
         raise ValueError("forms live on different charts")
     chart = K.chart
     if chart.base is not chart:
-        return to_frame(fn_bracket(from_frame(K), from_frame(L)))
+        outside = from_frame(K)
+        return to_frame(fn_bracket(outside, outside if L is K else from_frame(L)))
     sign = 1 if (K.degree * L.degree) % 2 == 0 else -1
+    if L is K:
+        if sign == 1:
+            return VectorForm.zero(chart, 2 * K.degree)
+        return VectorForm(chart, 2 * K.degree, [_lie_scalar(K, ka).scale(2) for ka in K.comps])
     comps = [
         _lie_scalar(K, la) - _lie_scalar(L, ka).scale(sign)
         for ka, la in zip(K.comps, L.comps)
@@ -681,10 +682,20 @@ def from_frame(form):
     return _change_frame(form, False)
 
 
+def _coordinate_d_terms(alpha: ScalarForm, axes):
+    """The _accumulate items of sum_k d_k f dx^k wedge dx^I over k in axes, in coordinates."""
+    for key, f in alpha.terms.items():
+        for axis in axes:
+            if axis not in key:
+                yield (*_merge_sign((axis,), key), f.partial_derivative(axis), None)
+
+
 def _frame_d_terms(alpha: ScalarForm, rows):
     """The _accumulate items of sum_k d_k f dx^k wedge theta^I, rows[k] the image items of dx^k."""
     for key, f in alpha.terms.items():
         for k, items in enumerate(rows):
+            if not items:
+                continue
             df = f.partial_derivative(k)
             if df:
                 for image_key, kappa, c in items:
@@ -693,23 +704,53 @@ def _frame_d_terms(alpha: ScalarForm, rows):
                         yield merged, kappa if sign > 0 else -kappa, df, c
 
 
-def _frame_d(alpha: ScalarForm) -> ScalarForm:
-    """d of a form written in the frame: d(f theta^I) = df wedge theta^I + f d(theta^I).
+def _gaining_part(alpha: ScalarForm, gain: int, key: tuple = ()) -> ScalarForm:
+    """The terms of alpha whose key has gain more (1,0) slots than key, on a chart whose J
+    is diagonal (Chart.holomorphic_axes)."""
+    holomorphic = alpha.chart.holomorphic_axes
+    count = len(holomorphic.intersection(key)) + gain
+    terms = alpha.terms.items()
+    return ScalarForm(alpha.chart, {k: f for k, f in terms if len(holomorphic.intersection(k)) == count})
 
-    df = sum_k d_k f dx^k with dx^k = sum_b A[k][b] theta^b, so the first half
-    is the coframe table's images of the dx^k; the second is one substitution
-    by the images d(theta^I), built once per key from the coordinate d
-    (empty where A is constant, as on a standard chart).
+
+def _d_theta_table(chart: "Chart", gain: int | None) -> ImageTable:
+    """theta^I -> the image items of d(theta^I), built once per key from the coordinate d
+    (empty where A is constant, as on a standard chart); with gain 1 or 0, only those of
+    _gaining_part(d(theta^I), gain, I)."""
+    one = PolyScalar.one(chart.dim)
+
+    def build(key):
+        image = to_frame(from_frame(ScalarForm(chart, {key: one})).exterior_d())
+        return image if gain is None else _gaining_part(image, gain, key)
+
+    return chart._coframe_cache.setdefault(("d", gain), ImageTable(build))
+
+
+def _exterior_d_terms(alpha: ScalarForm, gain: int | None = None):
+    """The _accumulate items of d alpha; with gain 1 or 0, on a chart whose J is diagonal
+    (Chart.holomorphic_axes), only the items whose key has gain more (1,0) slots than the
+    key of the term they come from, those of the (1,0) or the (0,1) part of d.
+
+    In coordinates d(f dx^I) = sum_k d_k f dx^k wedge dx^I, and dx^k gains a (1,0) slot
+    where k is a (1,0) axis.  On a form written in the frame, d(f theta^I) = df wedge
+    theta^I + f d(theta^I): df = sum_k d_k f dx^k with dx^k = sum_b A[k][b] theta^b, so
+    the first half is the coframe table's images of the dx^k, cut to the theta^b of the
+    type asked; the second is one substitution by the images d(theta^I) (_d_theta_table).
     """
     chart, base = alpha.chart, alpha.chart.base
-    coframe = _frame_table(base, True)
+    if chart is base:
+        axes = range(chart.dim)
+        if gain is not None:
+            axes = [k for k in axes if (k in chart.holomorphic_axes) == gain]
+        return _coordinate_d_terms(alpha, axes)
+    if gain is None:
+        coframe = _frame_table(base, True)
+    else:
+        one = PolyScalar.one(chart.dim)
+        image = ImageTable(lambda key: _gaining_part(to_frame(ScalarForm(base, {key: one})), gain))
+        coframe = chart._coframe_cache.setdefault(("dx", gain), image)
     rows = [coframe[(k,)] for k in range(chart.dim)]
-    one = PolyScalar.one(chart.dim)
-    d_theta = chart._coframe_cache.setdefault(
-        "d", ImageTable(lambda key: to_frame(from_frame(ScalarForm(chart, {key: one})).exterior_d()))
-    )
-    halves = chain(_frame_d_terms(alpha, rows), _substituted(alpha, d_theta))
-    return ScalarForm(chart, _accumulate({}, halves))
+    return chain(_frame_d_terms(alpha, rows), _substituted(alpha, _d_theta_table(chart, gain)))
 
 
 def conjugate_form(form):

@@ -18,8 +18,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from fractions import Fraction
+from itertools import chain
 from math import factorial
 from typing import Callable, List, Sequence, Tuple
 
@@ -29,8 +30,12 @@ from .forms import (
     BundleForm,
     ScalarForm,
     VectorForm,
+    _accumulate,
+    _exterior_d_terms,
+    _gaining_part,
     _matrix_times,
     _substitute,
+    _wedge_terms,
     bidegree_split,
     conjugate_form,
     from_frame,
@@ -53,7 +58,10 @@ class NotNilpotentError(ValueError):
 
 
 class Connection:
-    """nabla = d + omega on the trivial rank-r bundle, omega an r x r matrix of 1-forms."""
+    """nabla = d + omega on the trivial rank-r bundle, omega an r x r matrix of 1-forms.
+
+    Treated as immutable: the bigraded parts keep omega's entries cut by type.
+    """
 
     def __init__(self, chart: Chart, rank: int, omega: Sequence[Sequence[ScalarForm]]):
         if rank < 1:
@@ -78,18 +86,30 @@ class Connection:
         omega = [[to_frame(entry) for entry in row] for row in self.omega]
         return Connection(self.chart.framed, self.rank, omega)
 
+    @cached_property
+    def _omega_parts(self) -> dict:
+        """gain -> omega with each entry cut to its _gaining_part, on a chart whose J is diagonal."""
+        return {gain: [[_gaining_part(entry, gain) for entry in row] for row in self.omega] for gain in (0, 1)}
+
     def apply(self, u: BundleForm) -> BundleForm:
+        return self.image(u)
+
+    def image(self, u: BundleForm, gain: int | None = None) -> BundleForm:
+        """nabla u, (nabla u)^m = d u^m + sum_j omega[m][j] wedge u^j, from the items of d and
+        of the wedges; with gain 1 or 0, on a chart whose J is diagonal
+        (Chart.holomorphic_axes), only the items whose key has gain more (1,0) slots than
+        the key they come from: nabla10 u or nabla01 u.  No dropped item is multiplied.
+        """
         if u.chart is not self.chart:
             raise ValueError("forms live on different charts")
         if u.rank != self.rank:
             raise ValueError(f"form rank {u.rank} != connection rank {self.rank}")
+        omega = self.omega if gain is None else self._omega_parts[gain]
         comps = []
-        for m in range(self.rank):
-            acc = u.comps[m].exterior_d()
-            for j in range(self.rank):
-                if self.omega[m][j].terms and u.comps[j].terms:
-                    acc = acc + self.omega[m][j].wedge(u.comps[j])
-            comps.append(acc)
+        for m, row in enumerate(omega):
+            items = [_exterior_d_terms(u.comps[m], gain)]
+            items += [_wedge_terms(entry, uj) for entry, uj in zip(row, u.comps) if entry.terms and uj.terms]
+            comps.append(ScalarForm(self.chart, _accumulate({}, chain(*items))))
         return BundleForm(self.chart, comps)
 
 
@@ -127,7 +147,7 @@ class DerivationOp:
         for c, factors in self.terms:
             image = u
             for factor in reversed(factors):
-                image = factor(image)
+                image = factor(image) if factor.action is None else factor.action(image)
             if c == -1 and out is not None:
                 out = out - image
             else:
@@ -195,7 +215,14 @@ def _bundle_bidegree_parts(u: BundleForm):
 
 
 def _shifted(conn: Connection, dp: int, dq: int, u: BundleForm) -> BundleForm:
-    """sum over the (p, q) pieces of u of Pi^{p+dp,q+dq} nabla Pi^{p,q} u."""
+    """sum over the (p, q) pieces of u of Pi^{p+dp,q+dq} nabla Pi^{p,q} u.
+
+    Where J is diagonal (Chart.holomorphic_axes) the bidegree of theta^I is read
+    off I, so this is Connection.image(u, dp): the items of nabla u whose key
+    gains dp (1,0) slots, with no projection.  Elsewhere each piece is projected.
+    """
+    if conn.chart.holomorphic_axes is not None:
+        return conn.image(u, dp)
     out = BundleForm.zero(u.chart, u.rank)
     for p, q, piece in _bundle_bidegree_parts(u):
         out = out + bidegree_split(conn.apply(piece), p + dp, q + dq)

@@ -117,6 +117,21 @@ def test_builtin_twisted_frame_makes_J_constant(n, diagonal_J):
     assert inverse * chart.J * A == diagonal_J(n)
 
 
+def test_holomorphic_axes_are_read_off_a_diagonal_J(std2, twisted2, diagonal_J):
+    # J = diag(i, -i, ...) makes theta^{2a} of type (1,0); any other J, framed or not, has none
+    assert Chart(2, diagonal_J(2)).holomorphic_axes == {0, 2}
+    for chart in (std2, twisted2, builtin_twisted_chart(3)):
+        assert chart.holomorphic_axes is None
+        assert chart.framed.holomorphic_axes == set(range(0, chart.dim, 2))
+    swapped = Chart(1, diagonal_J(1).scale(-1))
+    assert swapped.holomorphic_axes == {1}
+    assert Chart(2, std2.J, frame=(identity(4), identity(4))).framed.holomorphic_axes is None
+    # i on the diagonal is not enough: a nonzero entry off it keeps the projectors
+    i = PolyScalar.constant(GaussRational(0, 1), 2)
+    off_diagonal = poly_matrix(2, {(0, 0): i, (0, 1): PolyScalar.variable(0, 2), (1, 1): -i})
+    assert Chart(1, off_diagonal).holomorphic_axes is None
+
+
 def test_chart_rejects_a_frame_with_a_wrong_inverse(twisted2):
     A, inverse = twisted2.frame
     with pytest.raises(ValueError, match="A\\*A\\^\\{-1\\} != I"):

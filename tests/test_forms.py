@@ -409,6 +409,27 @@ def test_fn_bracket_matches_decomposable_formula(twisted2):
         K = VectorForm(chart, xi.degree(), [xi.mul_poly(X[c]) for c in range(dim)])
         L = VectorForm(chart, eta.degree(), [eta.mul_poly(Y[c]) for c in range(dim)])
         assert fn_bracket(K, L) == oracle(xi, X, eta, Y)
+        assert fn_bracket(K, K) == oracle(xi, X, xi, X)
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_fn_bracket_of_K_with_itself_takes_one_lie_derivative_per_component(twisted2, degree, monkeypatch):
+    # [K, K]^a = (1 - (-1)^k) L_K K^a: one _lie_scalar per axis for odd k, none for even k,
+    # in either basis, and equal to the general formula on an equal copy of K
+    from acderiv import forms
+    from acderiv.forms import to_frame
+
+    K = random_vector_form(twisted2, degree, 1, f"self-bracket-{degree}")
+    copy = VectorForm(twisted2, degree, K.comps)
+    expected = fn_bracket(K, copy)
+    assert copy is not K and expected.is_zero() == (degree % 2 == 0)
+    calls = []
+    lie_scalar = forms._lie_scalar
+    monkeypatch.setattr(forms, "_lie_scalar", lambda K, alpha: calls.append(K) or lie_scalar(K, alpha))
+    assert fn_bracket(K, K) == expected
+    framed = to_frame(K)
+    assert fn_bracket(framed, framed) == to_frame(expected)
+    assert len(calls) == (2 * twisted2.dim if degree % 2 else 0)  # dim in each of the two brackets
 
 
 def test_fn_extraction_consistency(twisted2):

@@ -13,7 +13,7 @@ from acderiv import (
     make_twisted_chart,
     random_form,
 )
-from acderiv.algebra import PolyScalar
+from acderiv.algebra import AlgebraElement, PolyScalar
 from acderiv.forms import (
     BundleForm,
     ScalarForm,
@@ -134,9 +134,16 @@ def test_frame_d_is_the_coordinate_d_moved_in(chart_name):
         assert d_alpha.exterior_d().is_zero()
 
 
-@pytest.mark.parametrize("chart_name", sorted(EXP_CHARTS))
+# a frame that leaves J0 as it is: its framed chart is no builtin's, and its J is not diagonal
+SPLIT_CHARTS = {
+    **EXP_CHARTS,
+    "identity-frame:2": lambda: Chart(2, make_standard_chart(2).J, frame=(AlgebraElement.identity(4, 4),) * 2),
+}
+
+
+@pytest.mark.parametrize("chart_name", sorted(SPLIT_CHARTS))
 def test_connection_and_its_split_in_the_frame_are_the_coordinate_ones_moved_in(chart_name):
-    chart = EXP_CHARTS[chart_name]()
+    chart = SPLIT_CHARTS[chart_name]()
     conn = random_connection(chart, 2, 1, f"frame-conn-{chart_name}")
     framed = conn.to_frame()
     assert framed.chart is chart.framed

@@ -167,6 +167,61 @@ def test_connection_split_bidegrees(twisted2):
         assert projected == image
 
 
+def _projected_part(conn, dp, u):
+    """sum over the (p, q) pieces of u of Pi^{p+dp,q+1-dp} nabla Pi^{p,q} u: the projector path."""
+    out = BundleForm.zero(u.chart, u.rank)
+    for p, q, piece in operators._bundle_bidegree_parts(u):
+        out = out + bidegree_split(conn.apply(piece), p + dp, q + 1 - dp)
+    return out
+
+
+@pytest.mark.parametrize("chart_name", ["diagonal:2", "twisted:2 frame"])
+def test_parts_of_nabla_where_J_is_diagonal_are_its_projected_pieces(chart_name, diagonal_J):
+    # a bare chart with J = diag(i, -i, ...) keeps its parts' items in coordinates, a
+    # builtin chart's frame in the frame, where d(theta^I) has parts of every bidegree
+    if chart_name == "diagonal:2":
+        conn = random_connection(Chart(2, diagonal_J(2)), 2, 1, "diagonal-parts")
+    else:
+        conn = random_connection(parse_chart_name("twisted:2"), 2, 1, "diagonal-parts").to_frame()
+    assert conn.chart.holomorphic_axes is not None
+    rng = random.Random(f"diagonal-parts-{chart_name}")
+    probes = [random_bundle_form(conn.chart, 2, degree, 1, rng) for degree in range(conn.chart.dim + 1)]
+    mixed = probes[1] + BundleForm(conn.chart, probes[2].comps[:1] + probes[3].comps[1:])
+    for u in probes + [mixed]:
+        assert operators.nabla10(conn)(u) == _projected_part(conn, 1, u)
+        assert operators.nabla01(conn)(u) == _projected_part(conn, 0, u)
+
+
+@pytest.mark.parametrize("chart_name", ["standard:2", "twisted:2"])
+def test_framed_parts_of_nabla_multiply_no_item_they_drop(chart_name, term_pairs, monkeypatch):
+    # in a builtin chart's frame J is diagonal: the parts keep items of nabla u by their keys
+    # before any product, so together they make at most nabla's term pairs, and project nothing
+    chart = parse_chart_name(chart_name)
+    conn = random_connection(chart, 2, 1, f"dropped-{chart_name}").to_frame()
+    rng = random.Random(f"dropped-probes-{chart_name}")
+    probes = [to_frame(random_bundle_form(chart, 2, degree, 1, rng)) for degree in range(chart.dim + 1)]
+
+    def images_and_pairs(op):
+        for u in probes:
+            op(u)  # builds the d(theta^I) image tables
+        term_pairs.clear()
+        return [op(u) for u in probes], sum(term_pairs)
+
+    full, full_pairs = images_and_pairs(nabla(conn))
+
+    def refuse(*args):
+        raise AssertionError("the framed parts of nabla project nothing")
+
+    monkeypatch.setattr(operators, "bidegree_split", refuse)
+    monkeypatch.setattr(Connection, "apply", refuse)
+    dels, del_pairs = images_and_pairs(operators.nabla10(conn))
+    dbars, dbar_pairs = images_and_pairs(operators.nabla01(conn))
+    assert 0 < del_pairs + dbar_pairs <= full_pairs
+    theta = conn.chart.torsion()
+    for u, image, del_u, dbar_u in zip(probes, full, dels, dbars):
+        assert image == del_u + dbar_u - interior(theta, u) - interior(conjugate_form(theta), u)
+
+
 # -- graded commutator ---------------------------------------------------------------
 
 
