@@ -9,7 +9,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache, reduce
 from math import gcd
-from operator import add, or_, sub
+from operator import add, neg, or_, sub
 from typing import Iterable, Mapping, Sequence, Union
 
 RationalLike = Union[int, Fraction]
@@ -601,43 +601,48 @@ class AlgebraElement:
     def __getitem__(self, row: int) -> tuple:
         return self.entries[row]
 
+    @classmethod
+    def _of(cls, rows) -> "AlgebraElement":
+        """A matrix of the row sequences of entries this class produced, kept as they are."""
+        out = object.__new__(cls)
+        out.entries = tuple(map(tuple, rows))
+        out.dim = len(out.entries)
+        return out
+
     def _check(self, other: "AlgebraElement"):
         if self.dim != other.dim:
             raise ValueError("matrix dimension mismatch")
 
     def _entrywise(self, other, op):
         self._check(other)
-        return AlgebraElement([list(map(op, ra, rb)) for ra, rb in zip(self.entries, other.entries)])
+        return AlgebraElement._of(map(op, ra, rb) for ra, rb in zip(self.entries, other.entries))
 
     def __add__(self, other):
         return self._entrywise(other, add)
 
     def __neg__(self):
-        return AlgebraElement([[-a for a in row] for row in self.entries])
+        return AlgebraElement._of(map(neg, row) for row in self.entries)
 
     def __sub__(self, other):
         return self._entrywise(other, sub)
 
     def __mul__(self, other):
-        """The matrix product; each entry sums only the products of nonzero pairs."""
+        """The matrix product: each entry is one exact dot product over its nonzero pairs.
+
+        A Gaussian-rational entry sums numerator pairs over one running common
+        denominator and is reduced once; a polynomial entry is one ProductSum.
+        """
         self._check(other)
-        zero = GR_ZERO if self.num_vars is None else PolyScalar.zero(self.num_vars)
+        num_vars = self.num_vars
+        if other.num_vars != num_vars:
+            raise TypeError("a matrix product takes two matrices over one ring")
         cols = list(zip(*other.entries))
-        rows = []
-        for row in self.entries:
-            out = []
-            for col in cols:
-                acc = zero
-                for a, b in zip(row, col):
-                    if a and b:
-                        acc = acc + a * b
-                out.append(acc)
-            rows.append(out)
-        return AlgebraElement(rows)
+        dot = _gauss_dot if num_vars is None else _poly_dot
+        return AlgebraElement._of([dot(row, col) for col in cols] for row in self.entries)
 
     def scale(self, value) -> "AlgebraElement":
         value = GaussRational.coerce(value)
-        return AlgebraElement([[a * value for a in row] for row in self.entries])
+        return AlgebraElement._of([a * value for a in row] for row in self.entries)
 
     def commutator(self, other: "AlgebraElement") -> "AlgebraElement":
         return self * other - other * self
@@ -655,3 +660,32 @@ class AlgebraElement:
 
     def __repr__(self):
         return f"AlgebraElement({[[str(e) for e in row] for row in self.entries]})"
+
+
+def _gauss_dot(row: Sequence[GaussRational], col: Sequence[GaussRational]) -> GaussRational:
+    """sum_k row[k] * col[k], reduced once; GR_ZERO where it vanishes."""
+    an = bn = 0
+    d = 1
+    for x, y in zip(row, col):
+        if x and y:
+            a1, b1, a2, b2 = x.an, x.bn, y.an, y.bn
+            pa, pb, pd = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, x.d * y.d
+            if pd != d:
+                g = gcd(d, pd)
+                r, s = pd // g, d // g
+                an, bn, d = an * r + pa * s, bn * r + pb * s, d * r
+            else:
+                an += pa
+                bn += pb
+    if not (an or bn):
+        return GR_ZERO
+    return GaussRational._raw(an, bn, d)
+
+
+def _poly_dot(row: Sequence[PolyScalar], col: Sequence[PolyScalar]) -> PolyScalar:
+    """sum_k row[k] * col[k] as one ProductSum, so total() checks every exponent code."""
+    acc = ProductSum(row[0].num_vars)
+    for x, y in zip(row, col):
+        if x and y:
+            acc.add(1, x, y)
+    return acc.total()

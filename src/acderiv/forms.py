@@ -13,6 +13,7 @@ from __future__ import annotations
 import operator
 import random
 from fractions import Fraction
+from functools import cache
 from itertools import chain, combinations, starmap
 from typing import TYPE_CHECKING, Mapping, Sequence
 
@@ -22,8 +23,14 @@ if TYPE_CHECKING:
     from .chart import Chart
 
 
+@cache
 def _merge_sign(left: tuple, right: tuple):
-    """Merge two strictly increasing index tuples; None if they intersect."""
+    """(merged key, sign) of dx^left wedge dx^right for strictly increasing index tuples;
+    (None, 0) if they intersect.
+
+    A table filled on first use: each pair of keys is merged once per process.
+    The keys are subsets of a chart's axes, so it holds at most 4^dim pairs.
+    """
     inversions = 0
     merged = []
     i = j = 0
@@ -222,10 +229,11 @@ class ScalarForm:
 class VectorForm:
     """Tangent-valued form K = sum_a kappa^a (x) d/dx_a, all components one degree.
 
-    Treated as immutable: interior keeps its coefficients as image items.
+    Treated as immutable: interior keeps its coefficients as image items and
+    its contraction plans, one per target key.
     """
 
-    __slots__ = ("chart", "degree", "comps", "_items")
+    __slots__ = ("chart", "degree", "comps", "_items", "_plans")
 
     def __init__(self, chart: "Chart", degree: int, comps: Sequence[ScalarForm]):
         if len(comps) != chart.dim:
@@ -237,6 +245,7 @@ class VectorForm:
         self.degree = degree
         self.comps = tuple(comps)
         self._items = None
+        self._plans = {}
 
     @staticmethod
     def zero(chart: "Chart", degree: int) -> "VectorForm":
@@ -257,6 +266,28 @@ class VectorForm:
         if self._items is None:
             self._items = tuple(tuple(starmap(_item, comp.terms.items())) for comp in self.comps)
         return self._items
+
+    def contraction_plan(self, key: tuple) -> tuple:
+        """The items (merged key, signed kappa, c) of i_K dx^key, built on first use and kept.
+
+        Contracting slot pos of key, which holds axis a, against a term
+        c dx^k of kappa^a gives dx^k wedge (key without slot pos) with sign
+        (-1)^pos times the sign of that wedge.
+        """
+        plan = self._plans.get(key)
+        if plan is None:
+            rows = self.coefficients()
+            plan = []
+            for pos, axis in enumerate(key):
+                reduced = key[:pos] + key[pos + 1 :]
+                for image_key, kappa, c in rows[axis]:
+                    merged, sign = _merge_sign(image_key, reduced)
+                    if merged is not None:
+                        if pos % 2:
+                            sign = -sign
+                        plan.append((merged, kappa if sign > 0 else -kappa, c))
+            plan = self._plans[key] = tuple(plan)
+        return plan
 
     def _check_compatible(self, other: "VectorForm"):
         if self.chart is not other.chart:
@@ -399,23 +430,12 @@ def wedge(alpha: ScalarForm, beta: ScalarForm) -> ScalarForm:
 
 
 def _interior_terms(K: VectorForm, target: ScalarForm):
-    """The _accumulate items of i_K target.
-
-    Each (target term f dx^key, slot pos of key holding axis a, item of a
-    term c dx^k of kappa^a) contributes sign * c * f: (-1)^pos from
-    contracting slot pos, times the sign of wedging dx^k in front of what is
-    left.
-    """
-    rows = K.coefficients()
+    """The _accumulate items of i_K target: each term f dx^key contributes kappa * f * c
+    dx^merged for each item of K's contraction plan for key."""
+    plan = K.contraction_plan
     for key, f in target.terms.items():
-        for pos, axis in enumerate(key):
-            reduced = key[:pos] + key[pos + 1 :]
-            for image_key, kappa, c in rows[axis]:
-                merged, sign = _merge_sign(image_key, reduced)
-                if merged is not None:
-                    if pos % 2:
-                        sign = -sign
-                    yield merged, kappa if sign > 0 else -kappa, f, c
+        for merged, kappa, c in plan(key):
+            yield merged, kappa, f, c
 
 
 def interior(K: VectorForm, target):

@@ -388,13 +388,15 @@ def operator_residuals(
 
     The family may be written in a chart's frame (forms.to_frame), where lhs
     and rhs must then act: only a nonzero residual moves back out, so
-    residuals are reported in coordinates in either basis.
+    residuals are reported in coordinates in either basis.  Forms are
+    canonical, so the sides are compared with == and only an unequal pair is
+    subtracted.
     """
     out = []
     for member, u in family:
-        res = lhs(u) - rhs(u)
-        if not res.is_zero():
-            out.append((member, from_frame(res)))
+        left, right = lhs(u), rhs(u)
+        if left != right:
+            out.append((member, from_frame(left - right)))
     return out
 
 
@@ -431,7 +433,8 @@ def conjugation_residuals(
     image (exactly equal images share it) in the first group that needs it,
     and each distinct R once (equal as data: the same terms over the same
     primitives); every value is dropped after the last group that needs it.
-    Residuals come in family order.
+    As in operator_residuals, only an unequal pair is subtracted.  Residuals
+    come in family order.
     """
     exp_plus, exp_minus = exp_interior(to_frame(phi))
     rhs_ops, rhs_slot = _distinct(R for _, _, R in groups)
@@ -448,13 +451,12 @@ def conjugation_residuals(
                 lhs[k] = exp_minus(lhs[k])  # the image gives way to its conjugate
             if rhs_slot.index(h) == g:
                 rhs[h] = rhs_ops[h](u)
-            res = lhs[k] - rhs[h]
+            if lhs[k] != rhs[h]:
+                bad.append((member, from_frame(lhs[k] - rhs[h])))
             if k not in lhs_slot[g + 1:]:
                 lhs[k] = None
             if h not in rhs_slot[g + 1:]:
                 rhs[h] = None
-            if not res.is_zero():
-                bad.append((member, from_frame(res)))
     return out
 
 

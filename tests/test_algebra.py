@@ -2,10 +2,11 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from acderiv.algebra import AlgebraElement, GaussRational, PolyScalar
+from acderiv.algebra import GR_ZERO, AlgebraElement, GaussRational, PolyScalar
 
 
 def rand_gauss(rng):
@@ -252,6 +253,97 @@ def test_matrix_product_matches_the_triple_loop(ring):
             product = AlgebraElement(a) * AlgebraElement(b)
             assert product == AlgebraElement(naive_product(a, b, zero))
             assert all(isinstance(e, type(zero)) for row in product.entries for e in row)
+
+
+def sparse_matrix(rng, dim, entry, zero):
+    """A dim x dim matrix of entry() values with one zero row and one zero column."""
+    rows = [[entry() for _ in range(dim)] for _ in range(dim)]
+    row, col = rng.randrange(dim), rng.randrange(dim)
+    rows[row] = [zero] * dim
+    for r in rows:
+        r[col] = zero
+    return rows
+
+
+def assert_reduced(m):
+    for row in m.entries:
+        for e in row:
+            if isinstance(e, GaussRational):
+                assert e.d > 0 and gcd(e.an, e.bn, e.d) == 1
+            else:
+                assert e.den > 0 and all(an or bn for an, bn in e.terms.values())
+                assert not e.terms or gcd(e.den, *(x for pair in e.terms.values() for x in pair)) == 1
+
+
+@pytest.mark.parametrize("dim", [3, 4])
+@pytest.mark.parametrize("ring", ["gauss", "poly"])
+def test_matrix_product_sums_each_entry_exactly_once(ring, dim):
+    rng = random.Random(f"dot-{ring}-{dim}")
+    if ring == "gauss":
+        zero = GaussRational(0)
+
+        def entry():
+            # complex entries over different denominators, some of them zero
+            return rand_gauss(rng) if rng.random() < 0.8 else zero
+
+    else:
+        zero = PolyScalar.zero(4)
+
+        def entry():
+            return rand_poly(rng, n_terms=rng.randint(1, 3)) if rng.random() < 0.8 else zero
+
+    for _ in range(8):
+        a, b = sparse_matrix(rng, dim, entry, zero), sparse_matrix(rng, dim, entry, zero)
+        product = AlgebraElement(a) * AlgebraElement(b)
+        assert product == AlgebraElement(naive_product(a, b, zero))
+        assert_reduced(product)
+    # a product whose entries cancel: M * (-M) + M * M entrywise, and a vanishing dot product
+    m = AlgebraElement(a)
+    assert (m * m + m * -m).is_zero()
+    if ring == "gauss":
+        half = GaussRational(Fraction(1, 2))
+        cancel = AlgebraElement([[half, half, 0], [0, 0, 0], [0, 0, 0]]) * AlgebraElement(
+            [[1, 0, 0], [-1, 0, 0], [0, 0, 0]]
+        )
+        assert cancel[0][0] is GR_ZERO
+
+
+def test_polynomial_matrix_products_that_overflow_still_raise():
+    # x1^(2^14) * x1^(2^14) reaches the guard bit; in the second product the two terms cancel
+    big = PolyScalar.monomial(1, (2**14, 0), 2)
+    zero = PolyScalar.zero(2)
+    row = AlgebraElement([[big, big], [zero, zero]])
+    with pytest.raises(OverflowError):
+        row * AlgebraElement([[big, zero], [zero, zero]])
+    with pytest.raises(OverflowError):
+        row * AlgebraElement([[big, zero], [-big, zero]])
+
+
+def test_matrix_product_takes_two_matrices_over_one_ring():
+    poly = AlgebraElement.identity(2, 2)
+    constant = AlgebraElement.identity(2)
+    for a, b in ((poly, constant), (constant, poly), (poly, AlgebraElement.identity(2, 3))):
+        with pytest.raises(TypeError):
+            a * b
+    assert poly * poly == poly and constant * constant == constant
+
+
+@pytest.mark.parametrize("ring", ["gauss", "poly"])
+def test_matrix_arithmetic_results_equal_their_public_rebuilds(ring):
+    rng = random.Random(f"rebuild-{ring}")
+    if ring == "gauss":
+        zero, entry = GaussRational(0), lambda: rand_gauss(rng)
+    else:
+        zero, entry = PolyScalar.zero(4), lambda: rand_poly(rng, n_terms=2)
+    a = AlgebraElement(sparse_matrix(rng, 3, entry, zero))
+    b = AlgebraElement(sparse_matrix(rng, 3, entry, zero))
+    value = GaussRational(Fraction(2, 3), Fraction(-1, 6))
+    for result in (a + b, a - b, a - a, a * b, a.scale(value), a.scale(0), -a, a.commutator(b)):
+        rebuilt = AlgebraElement([list(row) for row in result.entries])
+        assert result == rebuilt and hash(result) == hash(rebuilt)
+        assert result.dim == rebuilt.dim == 3
+        assert all(isinstance(e, type(zero)) for row in result.entries for e in row)
+        assert_reduced(result)
 
 
 def test_matrix_entries_come_from_one_ring():

@@ -2,8 +2,9 @@
 
 sympy shares no code with acderiv.algebra, so agreement on hypothesis-drawn
 operands (mixed denominators, Gaussian-rational coefficients, up to four
-variables) is an independent check of +, -, *, negation and scale, and of
-ProductSum's signed sums of products.  Results are also compared
+variables) is an independent check of +, -, *, negation and scale, of
+ProductSum's signed sums of products, and of the matrix product of
+AlgebraElement over Gaussian rationals.  Results are also compared
 structurally after rebuilding them from sympy's terms, which checks that
 every result is stored in canonical form.
 """
@@ -20,7 +21,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from sympy import QQ, QQ_I  # noqa: E402
 from sympy.polys.rings import ring  # noqa: E402
 
-from acderiv.algebra import GaussRational, PolyScalar, ProductSum  # noqa: E402
+from acderiv.algebra import AlgebraElement, GaussRational, PolyScalar, ProductSum  # noqa: E402
 
 MAX_VARS = 4
 
@@ -115,3 +116,27 @@ def test_product_sum_matches_sympy(drawn):
             acc.add(sign, f, g)
             expected += to_sympy(ring_, f) * to_sympy(ring_, g) * sign
     assert_matches(num_vars, acc.total(), expected)
+
+
+@st.composite
+def matrix_pairs(draw):
+    """Two square 1-4 dim matrices of Gaussian rationals, about a third of the entries zero."""
+    dim = draw(st.integers(1, 4))
+    entry = st.just(GaussRational(0)) | gauss | gauss
+    square = st.lists(st.lists(entry, min_size=dim, max_size=dim), min_size=dim, max_size=dim)
+    return draw(square), draw(square)
+
+
+@settings(database=None, derandomize=True, deadline=None, max_examples=100)
+@given(matrix_pairs())
+def test_matrix_product_matches_sympy(pair):
+    a, b = pair
+    product = AlgebraElement(a) * AlgebraElement(b)
+    dim = len(a)
+    for i in range(dim):
+        for j in range(dim):
+            expected = QQ_I.zero
+            for k in range(dim):
+                expected += to_qq_i(a[i][k]) * to_qq_i(b[k][j])
+            assert to_qq_i(product[i][j]) == expected
+            assert product[i][j] == GaussRational(product[i][j].re, product[i][j].im)

@@ -22,9 +22,11 @@ from acderiv.forms import (
     BundleForm,
     ImageTable,
     ScalarForm,
+    _merge_sign,
     _substitute,
     bidegree_split_scalar,
     identity_vector_form,
+    to_frame,
 )
 
 BIG = 2**14  # x1^BIG * x1^BIG reaches the 2^15 guard bit of a 16-bit field
@@ -223,6 +225,36 @@ def test_constant_coefficients_of_K_are_scalings(request, chart_name, term_pairs
     I = identity_vector_form(chart)
     assert interior(I, u) == u.scale(2)
     assert term_pairs == [], "i_I u multiplies by no polynomial"
+
+
+# -- the merge-sign table and the contraction plans -------------------------------------
+
+
+def test_merge_sign_table_matches_the_parity_of_inversions():
+    # every subset of range(6) as a strictly increasing key: all key pairs of every dim <= 6
+    keys = [key for n in range(7) for key in combinations(range(6), n)]
+    for _ in range(2):  # the second round reads the filled table
+        for left in keys:
+            for right in keys:
+                assert _merge_sign(left, right) == merge_sign(left, right)
+
+
+@pytest.mark.parametrize("chart_name", ["std2", "twisted2"])
+@pytest.mark.parametrize("framed", [False, True], ids=["coordinates", "frame"])
+def test_contraction_plans_follow_the_target_key_and_never_go_stale(request, chart_name, framed):
+    chart = request.getfixturevalue(chart_name)
+    move = to_frame if framed else (lambda form: form)
+    rng = random.Random(f"plans-{chart_name}-{framed}")
+    for degree in (1, 2):
+        K = move(random_vector(chart, degree, rng))
+        targets = [move(random_scalar(chart, d, rng)) for d in range(chart.dim + 1)]
+        targets.append(targets[1] + targets[2] + targets[chart.dim])  # one of mixed degree
+        for order in (targets, rng.sample(targets, len(targets))):
+            for target in order:
+                fresh = VectorForm(K.chart, K.degree, K.comps)
+                got = interior(K, target)
+                assert got == interior(fresh, target) == ref_interior(K, target)
+                assert_canonical(got)
 
 
 # -- the exponent guard through the form layer ----------------------------------------
