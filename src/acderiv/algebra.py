@@ -8,8 +8,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache, reduce
-from math import gcd
-from operator import add, neg, or_, sub
+from math import gcd, lcm
+from operator import add, mul, neg, or_, sub
 from typing import Iterable, Mapping, Sequence, Union
 
 RationalLike = Union[int, Fraction]
@@ -558,28 +558,55 @@ class AlgebraElement:
     (a chart's J and its projectors) and keeps its entries as given; every
     entry must then be a PolyScalar.  Otherwise plain numbers are coerced to
     GaussRational (the constant matrices of the finite-commutability
-    lemmas).  Entries are treated as immutable; ``m[i]`` is row i, so
-    ``m[i][j]`` reads one entry.
+    lemmas), stored as PolyScalar stores its terms: Gaussian-integer
+    numerators over one reduced common denominator den, the real parts
+    row-major and then the imaginary parts in nums, so its ring operations
+    are integer arithmetic with one gcd per result.  ``m[i][j]`` reads one
+    entry (a constant matrix builds its GaussRationals on first read).
+    Treated as immutable, so it keeps its powers.
     """
 
-    __slots__ = ("dim", "entries")
+    __slots__ = ("dim", "num_vars", "nums", "den", "_entries", "_powers")
 
     def __init__(self, entries: Sequence[Sequence]):
         rows = [tuple(row) for row in entries]
-        self.dim = len(rows)
-        if any(len(row) != self.dim for row in rows):
+        dim = len(rows)
+        if any(len(row) != dim for row in rows):
             raise ValueError("matrix must be square")
         if rows and isinstance(rows[0][0], PolyScalar):
             if not all(isinstance(e, PolyScalar) for row in rows for e in row):
                 raise TypeError("a polynomial matrix takes PolyScalar entries only")
+            self._set(dim, tuple(rows))
         else:
-            rows = [tuple(map(GaussRational.coerce, row)) for row in rows]
-        self.entries = tuple(rows)
+            values = [GaussRational.coerce(e) for row in rows for e in row]
+            den = lcm(*(v.d for v in values))
+            nums = [v.an * (den // v.d) for v in values] + [v.bn * (den // v.d) for v in values]
+            self._set(dim, None, nums, den)
+
+    def _set(self, dim: int, rows, nums=None, den=None) -> "AlgebraElement":
+        """Fill the slots: polynomial rows as given, or constant numerators over den > 0, reduced."""
+        self.dim, self._entries, self._powers = dim, rows, None
+        self.num_vars = None if rows is None else rows[0][0].num_vars
+        if rows is None:
+            nums = tuple(nums)
+            g = gcd(den, *nums)
+            if g > 1:  # where every numerator is 0, g = den and den becomes 1
+                nums, den = tuple([x // g for x in nums]), den // g
+        self.nums, self.den = nums, den
+        return self
+
+    @classmethod
+    def _of(cls, dim: int, rows=None, nums=None, den=None) -> "AlgebraElement":
+        """A matrix of polynomial rows this class produced, kept as they are, or of numerators."""
+        return object.__new__(cls)._set(dim, rows, nums, den)
 
     @staticmethod
     def identity(dim: int, num_vars: int | None = None) -> "AlgebraElement":
         """The identity; with num_vars, a polynomial matrix of constants in num_vars variables."""
-        one, zero = (1, 0) if num_vars is None else (PolyScalar.one(num_vars), PolyScalar.zero(num_vars))
+        if num_vars is None:
+            diagonal = [int(k % (dim + 1) == 0) for k in range(dim * dim)]
+            return AlgebraElement._of(dim, None, diagonal + [0] * dim * dim, 1)
+        one, zero = PolyScalar.one(num_vars), PolyScalar.zero(num_vars)
         return AlgebraElement([[one if i == j else zero for j in range(dim)] for i in range(dim)])
 
     @staticmethod
@@ -593,66 +620,107 @@ class AlgebraElement:
         )
 
     @property
-    def num_vars(self) -> int | None:
-        """The variable count of a polynomial matrix; None for a constant one."""
-        first = self.entries[0][0] if self.dim else None
-        return first.num_vars if isinstance(first, PolyScalar) else None
+    def entries(self) -> tuple:
+        if self._entries is None:
+            n, d, k = self.dim, self.den, self.dim * self.dim
+            pairs = zip(self.nums[:k], self.nums[k:])
+            flat = [GaussRational._raw(a, b, d) if a or b else GR_ZERO for a, b in pairs]
+            self._entries = tuple(tuple(flat[i : i + n]) for i in range(0, k, n))
+        return self._entries
 
     def __getitem__(self, row: int) -> tuple:
         return self.entries[row]
 
-    @classmethod
-    def _of(cls, rows) -> "AlgebraElement":
-        """A matrix of the row sequences of entries this class produced, kept as they are."""
-        out = object.__new__(cls)
-        out.entries = tuple(map(tuple, rows))
-        out.dim = len(out.entries)
-        return out
-
     def _check(self, other: "AlgebraElement"):
         if self.dim != other.dim:
             raise ValueError("matrix dimension mismatch")
+        if self.num_vars != other.num_vars:
+            raise TypeError("matrix arithmetic takes two matrices over one ring")
 
-    def _entrywise(self, other, op):
+    def _signed(self, other, op):
+        """self + other (op = add) or self - other (op = sub)."""
         self._check(other)
-        return AlgebraElement._of(map(op, ra, rb) for ra, rb in zip(self.entries, other.entries))
+        if self.num_vars is not None:
+            return AlgebraElement._of(
+                self.dim, tuple(tuple(map(op, ra, rb)) for ra, rb in zip(self.entries, other.entries))
+            )
+        d1, d2 = self.den, other.den
+        g = gcd(d1, d2)
+        r1, r2 = d2 // g, d1 // g
+        nums = [op(a * r1, b * r2) for a, b in zip(self.nums, other.nums)]
+        return AlgebraElement._of(self.dim, None, nums, d1 * r1)
 
     def __add__(self, other):
-        return self._entrywise(other, add)
+        return self._signed(other, add)
 
     def __neg__(self):
-        return AlgebraElement._of(map(neg, row) for row in self.entries)
+        if self.num_vars is None:
+            return AlgebraElement._of(self.dim, None, map(neg, self.nums), self.den)
+        return AlgebraElement._of(self.dim, tuple(tuple(map(neg, row)) for row in self.entries))
 
     def __sub__(self, other):
-        return self._entrywise(other, sub)
+        return self._signed(other, sub)
 
     def __mul__(self, other):
-        """The matrix product: each entry is one exact dot product over its nonzero pairs.
+        """The matrix product: each entry is one exact dot product.
 
-        A Gaussian-rational entry sums numerator pairs over one running common
-        denominator and is reduced once; a polynomial entry is one ProductSum.
+        A constant product is integer dot products of numerator rows and
+        columns over den * other.den, reduced once; a polynomial entry is one
+        ProductSum, so total() checks every exponent code.
         """
         self._check(other)
-        num_vars = self.num_vars
-        if other.num_vars != num_vars:
-            raise TypeError("a matrix product takes two matrices over one ring")
-        cols = list(zip(*other.entries))
-        dot = _gauss_dot if num_vars is None else _poly_dot
-        return AlgebraElement._of([dot(row, col) for col in cols] for row in self.entries)
+        n, k = self.dim, self.dim * self.dim
+        if self.num_vars is not None:
+            cols = list(zip(*other.entries))
+            rows = tuple(tuple(_poly_dot(row, col) for col in cols) for row in self.entries)
+            return AlgebraElement._of(n, rows)
+        ar, ai, br, bi = self.nums[:k], self.nums[k:], other.nums[:k], other.nums[k:]
+        re, im = _int_product(ar, br, n), [0] * k
+        if any(ai) or any(bi):
+            re = map(sub, re, _int_product(ai, bi, n))
+            im = map(add, _int_product(ar, bi, n), _int_product(ai, br, n))
+        return AlgebraElement._of(n, None, [*re, *im], self.den * other.den)
 
     def scale(self, value) -> "AlgebraElement":
         value = GaussRational.coerce(value)
-        return AlgebraElement._of([a * value for a in row] for row in self.entries)
+        if self.num_vars is not None:
+            rows = tuple(tuple(a * value for a in row) for row in self.entries)
+            return AlgebraElement._of(self.dim, rows)
+        k, va, vb = self.dim * self.dim, value.an, value.bn
+        pairs = list(zip(self.nums[:k], self.nums[k:]))
+        nums = [a * va - b * vb for a, b in pairs] + [a * vb + b * va for a, b in pairs]
+        return AlgebraElement._of(self.dim, None, nums, self.den * value.d)
 
     def commutator(self, other: "AlgebraElement") -> "AlgebraElement":
         return self * other - other * self
 
+    def powers(self) -> tuple:
+        """(x, x^2, ...) up to the last nonzero power, at most x^dim; built on first use and kept.
+
+        Fewer than dim powers means x is nilpotent, with x^(len + 1) = 0 as
+        the certificate.  Each power is one product with x.
+        """
+        if self._powers is None:
+            out = []
+            power = self
+            while not power.is_zero():
+                out.append(power)
+                if len(out) == self.dim:
+                    break
+                power = power * self
+            self._powers = tuple(out)
+        return self._powers
+
     def is_zero(self) -> bool:
+        if self.num_vars is None:
+            return not any(self.nums)
         return all(not e for row in self.entries for e in row)
 
     def __eq__(self, other):
         if not isinstance(other, AlgebraElement):
             return NotImplemented
+        if self.num_vars is None and other.num_vars is None:
+            return self.den == other.den and self.nums == other.nums
         return self.entries == other.entries
 
     def __hash__(self):
@@ -662,24 +730,10 @@ class AlgebraElement:
         return f"AlgebraElement({[[str(e) for e in row] for row in self.entries]})"
 
 
-def _gauss_dot(row: Sequence[GaussRational], col: Sequence[GaussRational]) -> GaussRational:
-    """sum_k row[k] * col[k], reduced once; GR_ZERO where it vanishes."""
-    an = bn = 0
-    d = 1
-    for x, y in zip(row, col):
-        if x and y:
-            a1, b1, a2, b2 = x.an, x.bn, y.an, y.bn
-            pa, pb, pd = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, x.d * y.d
-            if pd != d:
-                g = gcd(d, pd)
-                r, s = pd // g, d // g
-                an, bn, d = an * r + pa * s, bn * r + pb * s, d * r
-            else:
-                an += pa
-                bn += pb
-    if not (an or bn):
-        return GR_ZERO
-    return GaussRational._raw(an, bn, d)
+def _int_product(a: tuple, b: tuple, n: int) -> list:
+    """The product of two row-major n x n integer matrices, row-major."""
+    cols = [b[j::n] for j in range(n)]
+    return [sum(map(mul, a[i : i + n], col)) for i in range(0, n * n, n) for col in cols]
 
 
 def _poly_dot(row: Sequence[PolyScalar], col: Sequence[PolyScalar]) -> PolyScalar:

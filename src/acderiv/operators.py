@@ -11,7 +11,8 @@ products) together with random whole-form probes.
 
 The matrix half of the module realizes the finite-commutability toolkit for
 nilpotent conjugation (iterated commutators, closed-form conjugation, and the
-transported exponential) on constant AlgebraElements over Gaussian rationals.
+transported exponential) on constant AlgebraElements over Gaussian rationals;
+each matrix computes its powers once (AlgebraElement.powers).
 """
 
 from __future__ import annotations
@@ -301,10 +302,10 @@ def exp_interior(phi: VectorForm) -> Tuple[DerivationOp, DerivationOp]:
     i_phi is a degree-0 derivation that kills functions, so e^{±i_phi} is the
     algebra automorphism (exp ±Φ)^*, with Φ[a][b] the theta^b coefficient of
     i_phi theta^a = phi^a: each theta^a goes to sum_b exp(±Φ)[a][b] theta^b.
-    Each map is one substitution by the wedged rows of matrix_exp_nilpotent(±Φ)
-    (forms.pullback_table), built per key on first use, and acts on forms
-    written in phi's basis.  nilpotency_index(Φ) certifies the finite series;
-    NotNilpotentError is raised where Φ is not nilpotent.
+    Each map is one substitution by the wedged rows of exp(±Φ) (forms.pullback_table),
+    built per key on first use, and acts on forms written in phi's basis; both
+    exponentials sum the same kept powers of Φ.  nilpotency_index(Φ) certifies
+    the finite series; NotNilpotentError is raised where Φ is not nilpotent.
     """
     if phi.degree != 1:
         raise ValueError("exponential conjugation needs a form-degree-1 argument")
@@ -313,7 +314,7 @@ def exp_interior(phi: VectorForm) -> Tuple[DerivationOp, DerivationOp]:
     Phi = AlgebraElement([[comp.terms.get((b,), zero) for b in range(chart.dim)] for comp in phi.comps])
 
     plus = pullback_table(chart, matrix_exp_nilpotent(Phi))
-    minus = pullback_table(chart, matrix_exp_nilpotent(-Phi))
+    minus = pullback_table(chart, matrix_exp_nilpotent(Phi, -1))
     return (
         DerivationOp(0, partial(_pullback, chart, plus), "e^{i_φ}"),
         DerivationOp(0, partial(_pullback, chart, minus), "e^{-i_φ}"),
@@ -576,20 +577,28 @@ def refined_decompose(
 
 
 def nilpotency_index(x: AlgebraElement) -> int:
-    """Least N >= 1 with x^N = 0; raises NotNilpotentError past the dimension bound."""
-    order = vanishing_order(x, lambda power: power * x, x.dim - 1)
-    if order is None:
-        raise NotNilpotentError("element is not nilpotent within the dimension bound")
-    return order + 1
+    """Least N >= 1 with x^N = 0, read off x's kept powers (AlgebraElement.powers).
 
-
-def matrix_exp_nilpotent(x: AlgebraElement) -> AlgebraElement:
-    """Finite exponential series of a nilpotent constant or polynomial matrix; exact.
-
-    Written I + sum_{j>=1} x^j/j!, so that no power is a product with I.
+    Raises NotNilpotentError past the dimension bound, x^dim != 0.
     """
-    ident = AlgebraElement.identity(x.dim, x.num_vars)
-    return ident + series(x, lambda power: power * x, nilpotency_index(x) - 2, shift=1)
+    powers = x.powers()
+    if powers and len(powers) == x.dim:
+        raise NotNilpotentError("element is not nilpotent within the dimension bound")
+    return len(powers) + 1
+
+
+def matrix_exp_nilpotent(x: AlgebraElement, sign: int = 1) -> AlgebraElement:
+    """e^{sign x} = I + sum_{j>=1} sign^j x^j/j! for a nilpotent constant or polynomial matrix.
+
+    Exact.  The powers are x's kept ones (AlgebraElement.powers), so e^{x}
+    and e^{-x} (sign = -1) share them, and no power is a product with I.
+    """
+    nilpotency_index(x)
+    out = AlgebraElement.identity(x.dim, x.num_vars)
+    for j, power in enumerate(x.powers(), 1):
+        weight = Fraction(sign**j, factorial(j))
+        out = out + (power if weight == 1 else power.scale(weight))
+    return out
 
 
 def algebra_iterated_bracket(
@@ -632,44 +641,31 @@ def conjugation_closed_form(x: AlgebraElement, y: AlgebraElement) -> AlgebraElem
 
 def conjugate_by_exponential(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     """The series oracle e^{-y} x e^{y}, computed independently of the closed form."""
-    return matrix_exp_nilpotent(-y) * x * matrix_exp_nilpotent(y)
+    return matrix_exp_nilpotent(y, -1) * x * matrix_exp_nilpotent(y)
 
 
 def conjugated_exponential(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     """e^{-y} e^{x} e^{y} via the transported element: e^{sum [x,y]^{(i)}/i!}.
 
     Also certifies the transported element is nilpotent with the same power
-    bound N as x (z^N = 0), which is what makes its exponential finite.
+    bound N as x (z^N = 0), which is what makes its exponential finite; z
+    keeps the powers that certify it for its exponential.
     """
     n = nilpotency_index(x)
-    nilpotency_index(y)
     z = conjugation_closed_form(x, y)
-    if vanishing_order(z, lambda power: power * z, n - 1) is None:
+    if len(z.powers()) >= n:
         raise NotNilpotentError("transported element does not inherit the nilpotency bound")
     return matrix_exp_nilpotent(z)
 
 
+def _random_entry(rng: random.Random) -> GaussRational:
+    """a/b with a drawn from -4..4, then b from 1..3."""
+    return GaussRational._raw(rng.randint(-4, 4), 0, rng.randint(1, 3))
+
+
 def random_matrix(dim: int, rng: random.Random) -> AlgebraElement:
-    return AlgebraElement(
-        [
-            [
-                GaussRational(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
-                for _ in range(dim)
-            ]
-            for _ in range(dim)
-        ]
-    )
+    return AlgebraElement([[_random_entry(rng) for _ in range(dim)] for _ in range(dim)])
 
 
 def random_strict_upper(dim: int, rng: random.Random) -> AlgebraElement:
-    return AlgebraElement(
-        [
-            [
-                GaussRational(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
-                if j > i
-                else GaussRational(0)
-                for j in range(dim)
-            ]
-            for i in range(dim)
-        ]
-    )
+    return AlgebraElement([[_random_entry(rng) if j > i else 0 for j in range(dim)] for i in range(dim)])

@@ -217,13 +217,13 @@ def _closed_form_5(phi: VectorForm, psibar: VectorForm) -> Tuple[VectorForm, Vec
 # Each builder returns a list of (sub-identity label, residual list) pairs,
 # where a residual list is what operator_residuals or conjugation_residuals produced
 # (empty = pass), or raises CheckSkipped to mark a principled skip.  The
-# Theorem 3.8, Lemma 3.7 (L3.7.1, L3.7.2), P3.3 and EX3.1 builders work in the
-# chart's frame throughout, where the forms and bracket series are smaller and
-# conjugation_residuals runs: their inputs come from _CheckContext.frame_inputs
-# and frame_family, the closed forms work in the basis they are given, and only
-# nonzero residuals move out.  EQ2.4 and R3.10 stay in coordinates: EQ2.4's
-# generic K and L become dense complex forms in the frame, and on R3.10's
-# chart J = J0 is constant, so dbar acts on the coordinate components.
+# Theorem 3.8, Lemma 3.7 (L3.7.1, L3.7.2), P3.3, EX3.1 and R3.10 builders work
+# in the chart's frame throughout, where the forms and bracket series are
+# smaller, conjugation_residuals runs and a builtin chart's J is diagonal: their
+# inputs come from _CheckContext.frame_inputs (or to_frame) and frame_family,
+# the closed forms work in the basis they are given, and only nonzero residuals
+# move out.  EQ2.4 stays in coordinates: its generic K and L become dense
+# complex forms in the frame.
 
 
 class CheckSkipped(Exception):
@@ -410,13 +410,13 @@ def _check_R310(ctx: _CheckContext):
             "requires integrable J in the standard chart's holomorphic coordinates "
             "z^j = x_{2j-1} + i x_{2j}"
         )
-    chart = ctx.chart
-    phi = ctx.form("phi")
+    chart = ctx.chart.framed
+    phi = to_frame(ctx.form("phi"))
     conn = Connection.trivial(chart, 1)
-    fam = ctx.family(rank=1)
+    fam = ctx.frame_family(rank=1)
     lhs = lie_derivative(phi, conn, "0,1")
-    # J = J0 is constant, so the coordinate fields are holomorphic and dbar
-    # acts on the T^{1,0}-valued phi through its coordinate components
+    # J = J0 is constant, so the frame is constant, its fields are holomorphic
+    # and dbar acts on the T^{1,0}-valued phi through its frame components
     n01 = nabla01(conn)
     dbar_phi = VectorForm(chart, 2, [n01(BundleForm.from_scalar(c, 1, 0)).comps[0] for c in phi.comps])
     rhs = -interior_op(dbar_phi)
@@ -451,7 +451,7 @@ def _check_P312(ctx: _CheckContext):
             failures.append((f"trial-{trial}-nilpotency", str(exc)))
             continue
         oracle = (
-            matrix_exp_nilpotent(-y) * matrix_exp_nilpotent(x) * matrix_exp_nilpotent(y)
+            matrix_exp_nilpotent(y, -1) * matrix_exp_nilpotent(x) * matrix_exp_nilpotent(y)
         )
         if transported != oracle:
             failures.append((f"trial-{trial}", transported - oracle))

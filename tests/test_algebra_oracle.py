@@ -3,10 +3,11 @@
 sympy shares no code with acderiv.algebra, so agreement on hypothesis-drawn
 operands (mixed denominators, Gaussian-rational coefficients, up to four
 variables) is an independent check of +, -, *, negation and scale, of
-ProductSum's signed sums of products, and of the matrix product of
-AlgebraElement over Gaussian rationals.  Results are also compared
-structurally after rebuilding them from sympy's terms, which checks that
-every result is stored in canonical form.
+ProductSum's signed sums of products, and of the ring operations of
+AlgebraElement over Gaussian rationals (against sympy's DomainMatrix).
+Results are also compared structurally after rebuilding them from sympy's
+terms, or through the public constructor, which checks that every result
+is stored in canonical form.
 """
 
 from fractions import Fraction
@@ -19,9 +20,10 @@ sympy = pytest.importorskip("sympy")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 from sympy import QQ, QQ_I  # noqa: E402
+from sympy.polys.matrices import DomainMatrix  # noqa: E402
 from sympy.polys.rings import ring  # noqa: E402
 
-from acderiv.algebra import AlgebraElement, GaussRational, PolyScalar, ProductSum  # noqa: E402
+from acderiv.algebra import GR_ZERO, AlgebraElement, GaussRational, PolyScalar, ProductSum  # noqa: E402
 
 MAX_VARS = 4
 
@@ -140,3 +142,37 @@ def test_matrix_product_matches_sympy(pair):
                 expected += to_qq_i(a[i][k]) * to_qq_i(b[k][j])
             assert to_qq_i(product[i][j]) == expected
             assert product[i][j] == GaussRational(product[i][j].re, product[i][j].im)
+
+
+def to_domain_matrix(m: AlgebraElement):
+    return DomainMatrix([[to_qq_i(e) for e in row] for row in m.entries], (m.dim, m.dim), QQ_I)
+
+
+def assert_matrix_matches(result: AlgebraElement, expected):
+    """Equal to sympy's result entry by entry, canonical, and GR_ZERO wherever an entry cancels."""
+    assert [[to_qq_i(e) for e in row] for row in result.entries] == expected.to_list()
+    rebuilt = AlgebraElement([list(row) for row in result.entries])
+    assert result == rebuilt and hash(result) == hash(rebuilt)
+    for row, expected_row in zip(result.entries, expected.to_list()):
+        for e, x in zip(row, expected_row):
+            assert (e is GR_ZERO) == (x == QQ_I.zero)
+
+
+@settings(database=None, derandomize=True, deadline=None, max_examples=100)
+@given(matrix_pairs(), gauss)
+def test_matrix_ring_operations_match_sympy(pair, c):
+    a, b = AlgebraElement(pair[0]), AlgebraElement(pair[1])
+    sa, sb = to_domain_matrix(a), to_domain_matrix(b)
+    assert_matrix_matches(a + b, sa + sb)
+    assert_matrix_matches(a - b, sa - sb)
+    assert_matrix_matches(-a, -sa)
+    assert_matrix_matches(a.scale(c), sa.mul(to_qq_i(c)))
+    assert_matrix_matches(a * b, sa * sb)
+    assert_matrix_matches(a.commutator(b), sa * sb - sb * sa)
+    # every entry cancels
+    assert_matrix_matches(a - a, sa - sa)
+    assert_matrix_matches(a + -a, sa - sa)
+    assert (a - a).is_zero() and (a - a) == AlgebraElement.zero(a.dim)
+    # equality reads the imaginary parts too
+    i_times_identity = AlgebraElement.identity(a.dim).scale(GaussRational(0, 1))
+    assert a + i_times_identity != a and (a + i_times_identity) - a == i_times_identity

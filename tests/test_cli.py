@@ -1,12 +1,14 @@
 """CLI contract: flags, config file, report schema, exit codes."""
 
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
 from acderiv import cli, verifier
 from acderiv.operators import NotNilpotentError
-from acderiv.verifier import REGISTRY_IDS, IdentityReport
+from acderiv.verifier import REGISTRY_IDS, IdentityReport, parse_chart_name
 
 FAST_IDS = "EQ2.3,L3.7.3,R3.10,NEG-T3.8.1"
 
@@ -219,3 +221,32 @@ def test_builder_bug_is_an_error_and_the_other_checks_still_report(monkeypatch, 
     assert passed["id"] == "L3.7.3" and passed["pass"] is True
     assert skipped["id"] == "NEG-T3.8.1" and skipped["skip"] is True
     assert doc["summary"] == {"pass": 1, "fail": 0, "skip": 1, "error": 1}
+
+
+WORKFLOW = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tier1.yml"
+
+
+def console_script_commands(workflow: Path) -> list:
+    """The argv of each line of the workflow's "Console script" step that runs acderiv, read as
+    plain text (the step's lines up to the next "- name:")."""
+    commands, in_step = [], False
+    for line in workflow.read_text(encoding="utf-8").splitlines():
+        text = line.strip()
+        if text.startswith("- name:"):
+            in_step = text == "- name: Console script"
+        elif in_step and text.startswith("acderiv"):
+            commands.append(shlex.split(text)[1:])
+    return commands
+
+
+def test_ci_console_script_commands_parse():
+    # parses each command as the console script would and runs no check
+    commands = console_script_commands(WORKFLOW)
+    assert len([argv for argv in commands if "--ids" in argv]) >= 9
+    for argv in commands:
+        args = cli._build_parser().parse_args(argv)
+        if args.ids is not None:
+            unknown = [cid for cid in args.ids.split(",") if cid not in REGISTRY_IDS]
+            assert not unknown, f"{' '.join(argv)}: unknown ids {unknown}"
+        config = cli.build_config(args)
+        parse_chart_name(config.chart)

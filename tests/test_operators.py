@@ -881,6 +881,86 @@ def test_conjugated_exponential_rejects_non_nilpotent():
         conjugated_exponential(AlgebraElement.identity(2), AlgebraElement.zero(2))
 
 
+@pytest.fixture
+def products(monkeypatch):
+    """The (left, right, result) of every AlgebraElement product made while the test runs."""
+    made = []
+    product = AlgebraElement.__mul__
+
+    def counting(a, b):
+        made.append((a, b, product(a, b)))
+        return made[-1][2]
+
+    monkeypatch.setattr(AlgebraElement, "__mul__", counting)
+    return made
+
+
+def test_nilpotent_powers_are_computed_once(products):
+    rng = random.Random("powers-once")
+    x = random_strict_upper(4, rng)
+    n = nilpotency_index(x)
+    assert len(products) == n - 1 and products[-1][2].is_zero()  # x^2 .. x^n = 0
+    assert nilpotency_index(x) == n and len(products) == n - 1
+    e = matrix_exp_nilpotent(x)
+    assert len(products) == n - 1
+    expected = power = AlgebraElement.identity(4)
+    for j in range(1, n):
+        power = power * x
+        expected = expected + power.scale(Fraction(1, factorial(j)))
+    assert e == expected
+    assert matrix_exp_nilpotent(x, -1) * e == AlgebraElement.identity(4)
+
+
+def test_conjugate_by_exponential_shares_the_powers_of_y(products):
+    rng = random.Random("powers-shared")
+    x = random_matrix(4, rng)
+    y = random_strict_upper(4, rng)
+    conjugate_by_exponential(x, y)
+    made = len(products)
+    n_y = nilpotency_index(y)
+    assert len(products) == made and made <= n_y - 1 + 2
+    power_products = [result for left, right, result in products if right is y]
+    assert len(power_products) == n_y - 1 and power_products[-1].is_zero()  # y^2 .. y^{N_y} = 0
+
+
+def test_matrix_exp_of_minus_y_takes_the_powers_of_y():
+    rng = random.Random("powers-sign")
+    y = random_strict_upper(4, rng)
+    assert matrix_exp_nilpotent(y, -1) == matrix_exp_nilpotent(-y)
+
+
+def test_non_nilpotent_matrix_raises_at_the_dimension_bound(products):
+    x = random_matrix(4, random.Random("not-nilpotent"))
+    with pytest.raises(NotNilpotentError, match="not nilpotent within the dimension bound"):
+        nilpotency_index(x)
+    assert len(products) == 3 and not products[-1][2].is_zero()  # x^2, x^3, x^4 != 0
+    with pytest.raises(NotNilpotentError, match="not nilpotent within the dimension bound"):
+        matrix_exp_nilpotent(x)
+    assert len(products) == 3
+
+
+def test_transported_element_must_inherit_the_nilpotency_bound(monkeypatch):
+    x = AlgebraElement.elementary(3, 0, 1)  # x^2 = 0
+    chain = AlgebraElement.elementary(3, 0, 1) + AlgebraElement.elementary(3, 1, 2)  # nilpotent, index 3
+    monkeypatch.setattr(operators, "conjugation_closed_form", lambda x, y: chain)
+    with pytest.raises(NotNilpotentError, match="does not inherit the nilpotency bound"):
+        conjugated_exponential(x, AlgebraElement.zero(3))
+
+
+def test_random_matrices_draw_the_same_values_as_fractions():
+    def by_fractions(dim, rng, upper):
+        def entry():
+            return GaussRational(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+
+        return AlgebraElement([[entry() if j > i or not upper else 0 for j in range(dim)] for i in range(dim)])
+
+    for trial in range(20):
+        for upper, draw in ((False, random_matrix), (True, random_strict_upper)):
+            rng, old = random.Random(f"draw-{trial}"), random.Random(f"draw-{trial}")
+            assert draw(4, rng) == by_fractions(4, old, upper)
+            assert rng.random() == old.random()
+
+
 # -- the finite series and the vanishing-order search ---------------------------------
 
 

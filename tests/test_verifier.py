@@ -1,5 +1,6 @@
 """The identity registry: determinism, skips, negative controls, cross-checks."""
 
+import random
 import sys
 from fractions import Fraction
 from functools import cache
@@ -129,6 +130,66 @@ def test_r310_fails_when_its_dbar_is_del(monkeypatch, chart):
     report = check_identity(IdentityCheck(id="R3.10", chart=chart, seed=7))
     assert report.status == "fail", report.reason
     assert report.worst_generator.startswith("algebraic-identification/")
+
+
+def _drop_last_bracket(closed_form):
+    """closed_form(x, y) without its last nonzero term [x, y]^{(k-1)}/(k-1)!."""
+
+    def dropped(x, y):
+        k = operators.commutable_degree(x, y)
+        last = operators.algebra_iterated_bracket(x, y, k - 1).scale(Fraction(1, factorial(k - 1)))
+        return closed_form(x, y) - last
+
+    return dropped
+
+
+def _trial_inputs(seed: str, trial: int, dim: int, x_draw):
+    rng = random.Random(f"{seed}|{trial}")
+    return x_draw(dim, rng), operators.random_strict_upper(dim, rng)
+
+
+def _assert_rendered_exactly(spec, builder, recompute):
+    """Every residual of builder prints entry by entry as str of the difference of its two sides'
+    entries, and the report shows the first one."""
+    report = check_identity(spec)
+    assert report.status == "fail", report.reason
+    [(group, failures)] = builder(_CheckContext(spec))
+    assert failures
+    for label, residual in failures:
+        left, right = recompute(report.seeds["matrix"], int(label.removeprefix("trial-")))
+        expected = [[str(a - b) for a, b in zip(ra, rb)] for ra, rb in zip(left.entries, right.entries)]
+        assert [[str(e) for e in row] for row in residual.entries] == expected
+        assert residual == left - right
+    first_label, first = failures[0]
+    assert report.worst_generator == f"{group}/{first_label}"
+    assert report.worst_residual == str(first)
+
+
+def test_L36_matrix_fails_when_its_closed_form_drops_a_bracket(monkeypatch):
+    spec = IdentityCheck(id="L3.6-matrix", chart="standard:2", seed=7)
+    assert check_identity(spec).status == "pass"
+    dropped = _drop_last_bracket(operators.conjugation_closed_form)
+    monkeypatch.setattr(verifier, "conjugation_closed_form", dropped)
+
+    def recompute(seed, trial):
+        x, y = _trial_inputs(seed, trial, 4, operators.random_matrix)
+        return dropped(x, y), operators.conjugate_by_exponential(x, y)
+
+    _assert_rendered_exactly(spec, verifier._check_L36_matrix, recompute)
+
+
+def test_P312_fails_when_its_transported_element_drops_a_bracket(monkeypatch):
+    spec = IdentityCheck(id="P3.12", chart="standard:2", seed=7)
+    assert check_identity(spec).status == "pass"
+    dropped = _drop_last_bracket(operators.conjugation_closed_form)
+    monkeypatch.setattr(operators, "conjugation_closed_form", dropped)
+    exp = operators.matrix_exp_nilpotent
+
+    def recompute(seed, trial):
+        x, y = _trial_inputs(seed, trial, 3 if trial % 2 == 0 else 4, operators.random_strict_upper)
+        return operators.conjugated_exponential(x, y), exp(-y) * exp(x) * exp(y)
+
+    _assert_rendered_exactly(spec, verifier._check_P312, recompute)
 
 
 def test_negative_control_detects_corruption_on_twisted():
