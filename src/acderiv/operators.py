@@ -134,12 +134,23 @@ class DerivationOp:
     terms = ((c, (D1, ..., Dm)), ...) is sum c * D1 ∘ ... ∘ Dm, each composition
     applied right to left and the terms summed in order; terms = () is the zero
     operator and ((1, ()),) the identity.
+
+    componentwise says that the operator maps each bundle component on its own,
+    by one scalar map shared by every component: (D u)^m = d(u^m).  A primitive
+    states it when it is built and has it only then; a combination has it
+    exactly when every factor has it, so the identity and zero have it.
     """
 
     degree: int
     action: Callable[[BundleForm], BundleForm] | None = None
     tag: str = ""
     terms: Tuple[Tuple[object, Tuple["DerivationOp", ...]], ...] = ()
+    componentwise: bool = False
+
+    def __post_init__(self):
+        if self.action is None:
+            shared = all(f.componentwise for _, factors in self.terms for f in factors)
+            object.__setattr__(self, "componentwise", shared)
 
     def __call__(self, u: BundleForm) -> BundleForm:
         if self.action is not None:
@@ -189,7 +200,7 @@ def identity_op() -> DerivationOp:
 
 
 def interior_op(K: VectorForm) -> DerivationOp:
-    return DerivationOp(K.degree - 1, partial(interior, K), f"i_[{K.degree}-form]")
+    return DerivationOp(K.degree - 1, partial(interior, K), f"i_[{K.degree}-form]", componentwise=True)
 
 
 def nabla(conn: Connection) -> DerivationOp:
@@ -316,8 +327,8 @@ def exp_interior(phi: VectorForm) -> Tuple[DerivationOp, DerivationOp]:
     plus = pullback_table(chart, matrix_exp_nilpotent(Phi))
     minus = pullback_table(chart, matrix_exp_nilpotent(Phi, -1))
     return (
-        DerivationOp(0, partial(_pullback, chart, plus), "e^{i_φ}"),
-        DerivationOp(0, partial(_pullback, chart, minus), "e^{-i_φ}"),
+        DerivationOp(0, partial(_pullback, chart, plus), "e^{i_φ}", componentwise=True),
+        DerivationOp(0, partial(_pullback, chart, minus), "e^{-i_φ}", componentwise=True),
     )
 
 
@@ -339,7 +350,8 @@ def conjugate_operator(op: DerivationOp, phi: VectorForm) -> DerivationOp:
     exp_plus, exp_minus = exp_interior(to_frame(phi))
     if phi.chart is not phi.chart.base:
         return DerivationOp(op.degree, terms=((1, (exp_minus, op, exp_plus)),))
-    into, out = DerivationOp(0, to_frame, "to_frame"), DerivationOp(0, from_frame, "from_frame")
+    into = DerivationOp(0, to_frame, "to_frame", componentwise=True)
+    out = DerivationOp(0, from_frame, "from_frame", componentwise=True)
     return DerivationOp(op.degree, terms=((1, (out, exp_minus, into, op, out, exp_plus, into)),))
 
 
@@ -417,6 +429,12 @@ def _distinct(items) -> Tuple[list, List[int]]:
     return distinct, index
 
 
+def _one_component(u: BundleForm):
+    """(j, u^j) when u^j is u's only nonzero component, else None."""
+    nonzero = [j for j, comp in enumerate(u.comps) if comp]
+    return (nonzero[0], u.comps[nonzero[0]]) if len(nonzero) == 1 else None
+
+
 def conjugation_residuals(
     phi: VectorForm,
     groups: Sequence[Tuple[str, DerivationOp, DerivationOp]],
@@ -430,34 +448,54 @@ def conjugation_residuals(
     back out, which is exact because the change is invertible.  The
     conjugation is the exact exponential (exp_interior), no bracket formula:
     it is the brute-force oracle the bracket formulas are compared against.
-    Per member it applies e^{i_phi} once, each D once, e^{-i_phi} once per distinct D
-    image (exactly equal images share it) in the first group that needs it,
-    and each distinct R once (equal as data: the same terms over the same
-    primitives); every value is dropped after the last group that needs it.
-    As in operator_residuals, only an unequal pair is subtracted.  Residuals
-    come in family order.
+    Per evaluated member it applies e^{i_phi} once, each D once, e^{-i_phi}
+    once per distinct D image (exactly equal images share it) in the first
+    group that needs it, and each distinct R once (equal as data: the same
+    terms over the same primitives); every value is dropped after the last
+    group that needs it.  When every D and R is componentwise
+    (DerivationOp.componentwise), so is every residual: a member whose only
+    nonzero component is a scalar v in slot j, with v == the scalar of an
+    earlier such member, is not evaluated, and gets that member's residual
+    scalars placed in slot j.  As in operator_residuals, only an unequal pair
+    is subtracted.  Residuals come in family order.
     """
     exp_plus, exp_minus = exp_interior(to_frame(phi))
     rhs_ops, rhs_slot = _distinct(R for _, _, R in groups)
-    out = [(label, []) for label, _, _ in groups]
-    for member, u in family:
+    shared = all(D.componentwise and R.componentwise for _, D, R in groups)
+    seen: list = []  # (v, each group's residual scalar or None) of the evaluated one-component members
+
+    def residuals(u: BundleForm) -> list:
         u = to_frame(u)
         inner = exp_plus(u)
         lhs, lhs_slot = _distinct(D(inner) for _, D, _ in groups)
         del inner
         rhs: list = [None] * len(rhs_ops)
-        for g, (_, bad) in enumerate(out):
-            k, h = lhs_slot[g], rhs_slot[g]
+        found = []
+        for g, (k, h) in enumerate(zip(lhs_slot, rhs_slot)):
             if lhs_slot.index(k) == g:
                 lhs[k] = exp_minus(lhs[k])  # the image gives way to its conjugate
             if rhs_slot.index(h) == g:
                 rhs[h] = rhs_ops[h](u)
-            if lhs[k] != rhs[h]:
-                bad.append((member, from_frame(lhs[k] - rhs[h])))
+            found.append(None if lhs[k] == rhs[h] else from_frame(lhs[k] - rhs[h]))
             if k not in lhs_slot[g + 1:]:
                 lhs[k] = None
             if h not in rhs_slot[g + 1:]:
                 rhs[h] = None
+        return found
+
+    out = [(label, []) for label, _, _ in groups]
+    for member, u in family:
+        one = _one_component(u) if shared else None
+        known = None if one is None else next((res for v, res in seen if v == one[1]), None)
+        if known is not None:
+            found = [None if r is None else BundleForm.from_scalar(r, u.rank, one[0]) for r in known]
+        else:
+            found = residuals(u)
+            if one is not None:
+                seen.append((one[1], [None if r is None else r.comps[one[0]] for r in found]))
+        for (_, bad), r in zip(out, found):
+            if r is not None:
+                bad.append((member, r))
     return out
 
 

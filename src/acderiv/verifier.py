@@ -605,8 +605,14 @@ def run_suite(config: "RunConfig") -> Tuple[List[IdentityReport], dict]:
     ]
     if config.parallel and len(specs) > 1:
         import concurrent.futures
+        import multiprocessing
+        import os
 
-        with concurrent.futures.ProcessPoolExecutor() as pool:
+        # spawn starts workers as tasks arrive (fork would start all of them at the
+        # first submit), and no more workers than checks are asked for
+        workers = min(len(specs), os.cpu_count() or 1)
+        context = multiprocessing.get_context("spawn")
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
             reports = list(pool.map(check_identity, specs))
     else:
         reports = [check_identity(spec) for spec in specs]

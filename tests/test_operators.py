@@ -67,6 +67,8 @@ from acderiv.verifier import (
     IdentityCheck,
     _CheckContext,
     _closed_form_1,
+    _nr_sum,
+    _verdict,
     check_identity,
     parse_chart_name,
 )
@@ -686,25 +688,110 @@ def test_conjugation_residuals_match_per_group_residuals():
     ]
 
 
+def first_seen(fam):
+    """fam less each member whose only nonzero component is a scalar that an earlier
+    such member had: the members a componentwise conjugation_residuals evaluates."""
+    seen, evaluated = [], []
+    for label, u in fam:
+        nonzero = [c for c in u.comps if c]
+        if len(nonzero) == 1:
+            if nonzero[0] in seen:
+                continue
+            seen.append(nonzero[0])
+        evaluated.append((label, u))
+    return evaluated
+
+
 @pytest.mark.parametrize(
-    "check, by, images_agree",
+    "check, by, images_agree, componentwise",
     [
-        pytest.param("T3.8.2", "phi", False, id="T3.8.2"),
+        pytest.param("T3.8.2", "phi", False, False, id="T3.8.2"),
         # standard:1 has no torsion, so both interior images vanish
-        pytest.param("T3.8.3", "phi", True, id="T3.8.3"),
-        pytest.param("T3.8.4", "psibar", False, id="T3.8.4"),
+        pytest.param("T3.8.3", "phi", True, True, id="T3.8.3"),
+        pytest.param("T3.8.4", "psibar", False, True, id="T3.8.4"),
         # T3.8.1 holds, so both routes give one image
-        pytest.param("T3.8.6", "psibar", True, id="T3.8.6"),
+        pytest.param("T3.8.6", "psibar", True, False, id="T3.8.6"),
     ],
 )
-def test_T38_applies_the_outer_exponential_once_per_member(monkeypatch, check, by, images_agree):
+def test_T38_applies_the_outer_exponential_once_per_member(monkeypatch, check, by, images_agree, componentwise):
     _, phi, psibar, fam = t38_inputs(check, "standard:1")
     applied = count_exponentials(monkeypatch, {"phi": phi, "psibar": psibar}[by])
     assert check_identity(IdentityCheck(id=check, chart="standard:1", seed=7)).status == "pass"
-    assert applied["plus"] == [to_frame(u) for _, u in fam]
+    # groups with a connection evaluate every member; connection-free ones each new scalar once
+    evaluated = first_seen(fam) if componentwise else fam
+    assert len(evaluated) < len(fam) if componentwise else evaluated is fam
+    assert applied["plus"] == [to_frame(u) for _, u in evaluated]
     # e^{-i} runs once per distinct inner image of the check's two operators
-    assert len(fam) <= len(applied["minus"]) <= 2 * len(fam)
-    assert (len(applied["minus"]) == len(fam)) == images_agree
+    assert len(evaluated) <= len(applied["minus"]) <= 2 * len(evaluated)
+    assert (len(applied["minus"]) == len(evaluated)) == images_agree
+
+
+@pytest.mark.parametrize("chart", ["standard:2", "twisted:2"])
+def test_shared_members_keep_a_failing_report(chart):
+    # T3.8.4 with its first right-hand side cut before the j = 2 bracket
+    ctx = _CheckContext(IdentityCheck(id="T3.8.4", chart=chart, seed=7))
+    _, phi, psibar = ctx.frame_inputs("phi", "psibar")
+    fam = ctx.family()
+    ff = fn_bracket(phi, phi)
+    groups = [
+        ("interior", interior_op(phi), interior_op(_nr_sum(phi, psibar, 1, 0))),
+        ("interior-square-bracket", interior_op(ff), interior_op(_nr_sum(ff, psibar, 3, 0))),
+    ]
+    assert all(D.componentwise and R.componentwise for _, D, R in groups)
+    shared = conjugation_residuals(psibar, groups, fam)
+    # the same operators with the property switched off: every member is evaluated
+    unshared = [(label, dataclasses.replace(D, componentwise=False), R) for label, D, R in groups]
+    separate = conjugation_residuals(psibar, unshared, fam)
+    assert len(shared[0][1]) == 43 and not shared[1][1]
+
+    def printed(groups):
+        return [(label, [(member, str(res)) for member, res in bad]) for label, bad in groups]
+
+    assert printed(shared) == printed(separate)
+    assert shared == separate
+    assert _verdict(shared) == _verdict(separate)
+
+
+def test_componentwise_is_data_and_conservative(twisted2):
+    chart = twisted2.framed
+    conn = random_connection(chart, 2, 1, "cw-conn")
+    K = to_frame(random_vector_form(twisted2, 2, 1, "cw-K"))
+    phi = random_form(twisted2, (0, 1), "1,0", 1, "cw-phi")
+    i_K = interior_op(K)
+    exp_plus, exp_minus = exp_interior(to_frame(phi))
+    derivatives = [nabla(conn), operators.nabla10(conn), operators.nabla01(conn)]
+    assert i_K.componentwise and exp_plus.componentwise and exp_minus.componentwise
+    assert not any(D.componentwise for D in derivatives)
+    assert not DerivationOp(0, lambda u: u, "undeclared").componentwise
+    assert identity_op().componentwise and DerivationOp(1).componentwise
+    for op in (i_K + i_K, i_K.scale(Fraction(1, 3)), -i_K, graded_commutator(i_K, i_K)):
+        assert op.componentwise
+    # a coordinate phi puts to_frame and from_frame around the exponentials
+    assert conjugate_operator(interior_op(phi), phi).componentwise
+    for D, flavor in zip(derivatives, ("full", "1,0", "0,1")):
+        assert not (i_K - D).componentwise
+        assert not graded_commutator(i_K, D).componentwise
+        assert not lie_derivative(K, conn, flavor).componentwise
+        assert not conjugate_operator(D, to_frame(phi)).componentwise
+        assert not graded_commutator(identity_op(), D.scale(2)).componentwise
+
+
+@pytest.mark.parametrize("with_connection, evaluated", [(False, 2), (True, 3)])
+def test_only_componentwise_groups_share_a_scalar_across_slots(monkeypatch, twisted2, with_connection, evaluated):
+    conn = random_connection(twisted2.framed, 2, 1, "cw-conn")
+    phi = random_form(twisted2, (0, 1), "1,0", 1, "cw-phi")
+    v = ScalarForm.coordinate_function(twisted2, 0).wedge(ScalarForm.basis_covector(twisted2, 1))
+    fam = [
+        ("v*s1", BundleForm.from_scalar(v, 2, 0)),
+        ("v*s2", BundleForm.from_scalar(v, 2, 1)),
+        ("v*(s1+s2)", BundleForm(twisted2, [v, v])),
+    ]
+    applied = count_exponentials(monkeypatch, phi)
+    i_K = interior_op(to_frame(random_vector_form(twisted2, 2, 1, "cw-K")))
+    D = i_K + nabla(conn) if with_connection else i_K
+    conjugation_residuals(phi, [("group", D, D)], fam)
+    assert len(applied["plus"]) == evaluated
+    assert applied["plus"] == [to_frame(u) for _, u in (fam if with_connection else first_seen(fam))]
 
 
 # -- decompositions ---------------------------------------------------------------------

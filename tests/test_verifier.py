@@ -393,6 +393,44 @@ def test_run_suite_summary_counts():
     assert summary == {"pass": 2, "fail": 0, "skip": 1, "error": 0}
 
 
+@pytest.mark.parametrize("cpus, ids, workers", [(8, 2, 2), (2, 3, 2), (1, 3, 1), (None, 2, 1)])
+def test_parallel_pool_spawns_no_more_workers_than_checks(monkeypatch, cpus, ids, workers):
+    import concurrent.futures
+    import os
+
+    built = []
+
+    class Pool:
+        """Records the executor's arguments and runs the checks in this process."""
+
+        def __init__(self, max_workers=None, mp_context=None):
+            built.append((max_workers, mp_context.get_start_method()))
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, specs):
+            return [fn(spec) for spec in specs]
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+
+    class Config:
+        chart = "standard:1"
+        rank = 1
+        degree = 1
+        seed = 13
+        parallel = True
+
+    Config.ids = ["EQ2.3", "L3.7.3", "R3.10"][:ids]
+    reports, _ = run_suite(Config())
+    assert [r.id for r in reports] == Config.ids
+    assert built == [(workers, "spawn")]
+
+
 def test_construction_error_is_a_failure_not_an_error(monkeypatch):
     from acderiv import verifier
 
